@@ -48,6 +48,7 @@ from .treedecomp import (
     find_bag_containing_set,
     single_bag_decomposition,
     subtree_distance,
+    td_alpha,
 )
 
 
@@ -159,10 +160,6 @@ def _validate_over(g: Graph, td: TreeDecomposition, subset: set[int]) -> list[st
                 if not set(td.subtree(u)) & set(td.subtree(v)):
                     out.append(f"edge {u}-{v} uncovered")
     return out
-
-
-def _max_bag_alpha(g: Graph, td: TreeDecomposition) -> int:
-    return max((alpha_of_subset(g, bag) for bag in td.bags), default=0)
 
 
 def _postcondition_failure(g: Graph, ell: int, msg: str) -> None:
@@ -737,7 +734,7 @@ def _check_surgery_output(
     problems = _validate_over(g, out, subset)
     if problems:
         _postcondition_failure(g, ell, f"{label} broke validity: {problems[:3]}")
-    if _max_bag_alpha(g, out) > 4 * ell:
+    if td_alpha(g, out) > 4 * ell:
         _postcondition_failure(g, ell, f"{label} exceeded the 4*ell bag bound")
     if not set(out.subtree(ctx.x)) & set(out.subtree(ctx.y)):
         raise DecompositionError(f"{label} failed to co-bag the chosen pair")
@@ -814,7 +811,7 @@ def decompose(
         problems = _validate_over(g, result, subset)
         if problems:
             raise DecompositionError(f"final decomposition invalid: {problems[:3]}")
-        if _max_bag_alpha(g, result) > 4 * ell:
+        if td_alpha(g, result) > 4 * ell:
             raise DecompositionError("final decomposition exceeds the bag bound")
     return result
 
@@ -902,9 +899,7 @@ def approximate_tia(
     while True:
         got = decompose(g, ell, check_p5=False, log=log)
         if isinstance(got, TreeDecomposition):
-            from .treedecomp import td_alpha as _td_alpha
-
-            return _td_alpha(g, got), got, ell
+            return td_alpha(g, got), got, ell
         ell += 1
         if ell > g.n // 2 + 1:
             raise DecompositionError("no decomposition up to the biclique limit")

@@ -54,6 +54,8 @@ def exact_tia(g: Graph, cap: Optional[int] = None) -> int:
         return 0
     bits = g.adjacency_bits()
     full = (1 << g.n) - 1
+    # the graph is immutable, so a bag's alpha depends on its mask alone
+    memo: dict[int, int] = {}
 
     def bag_alpha(v: int, eliminated: int) -> int:
         # component of eliminated vertices reachable from v, then its rim
@@ -70,7 +72,11 @@ def exact_tia(g: Graph, cap: Optional[int] = None) -> int:
                 inner &= inner - 1
                 reach |= bits[u]
         bag = (reach & ~eliminated) | (1 << v)
-        return alpha_of_subset(g, [u for u in range(g.n) if bag >> u & 1])
+        alpha = memo.get(bag)
+        if alpha is None:
+            alpha = alpha_of_subset(g, [u for u in range(g.n) if bag >> u & 1])
+            memo[bag] = alpha
+        return alpha
 
     best = [0] * (full + 1)
     for s in range(1, full + 1):

@@ -1,10 +1,17 @@
 """Exact combinatorial search primitives.
 
-Maximum independent set (branch and bound over bitmasks), bipartite maximum
-matching with a Konig vertex-cover certificate, and brute-force induced
-pattern detection.  Everything here is exact and deterministic: exactness is
-mandatory because callers compare independence numbers against sharp
-thresholds, and determinism makes every downstream tie-break reproducible.
+Maximum independent set (branch and bound over bitmasks, with component
+splitting), bipartite maximum matching with a Konig vertex-cover certificate,
+and brute-force induced pattern detection.  Everything here is exact and
+deterministic: exactness is mandatory because callers compare independence
+numbers against sharp thresholds, and determinism makes every downstream
+tie-break reproducible.
+
+The independent set returned is the first optimum in branching order: the
+first maximum-size leaf, in depth-first order, of the tree that branches on a
+maximum-degree vertex (lowest id on ties) with the include branch first.
+Neither the bound nor component splitting changes that leaf (see
+``_mis_mask``), and the engine's root choice ``min(MIS)`` depends on it.
 """
 
 from __future__ import annotations
@@ -146,52 +153,85 @@ def _clique_cover_bound(bits: Sequence[int], mask: int) -> int:
     return len(cliques)
 
 
+def _component(bits: Sequence[int], mask: int) -> int:
+    """The connected component of the lowest masked vertex, as a bitmask."""
+    comp = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= bits[low.bit_length() - 1]
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 def _mis_mask(bits: Sequence[int], mask: int) -> int:
     """Maximum independent set of the masked subgraph, as a bitmask.
 
-    Branches on a maximum-degree vertex (ties to the lowest id), trying the
-    include branch first; ties between optima keep the first one found, which
-    makes the result deterministic.
-    """
-    best = 0
-    best_size = -1
+    Returns the first optimum in branching order.  The branching tree strips
+    the vertices isolated within the mask, then branches on a maximum-degree
+    vertex (ties to the lowest id), include branch first.  The result is the
+    first maximum-size leaf of that tree, unpruned, in depth-first order.
+    Pruning by a valid upper bound keeps that leaf, since no subtree holding
+    it can be cut.
 
-    def rec(mask: int, chosen: int, size: int) -> None:
-        nonlocal best, best_size
-        # strip vertices isolated within mask: always take them
-        while True:
-            m, grabbed = mask, 0
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if bits[v] & mask == 0:
-                    grabbed |= 1 << v
-            if not grabbed:
-                break
-            chosen |= grabbed
-            size += bin(grabbed).count("1")
-            mask &= ~grabbed
-        if not mask:
-            if size > best_size:
-                best_size = size
-                best = chosen
-            return
-        if size + _clique_cover_bound(bits, mask) <= best_size:
-            return
-        # pivot: max degree within mask, lowest id on ties
-        pivot, pdeg = -1, -1
+    ``solve(mask, floor)`` returns that leaf if it has more than ``floor``
+    vertices, else -1.  A disconnected mask is solved one component at a time
+    and the results are united, which returns the same set.  The union's
+    pivot lies in one component and is that component's own pivot, so the
+    union's tree interleaves the components' trees: two of its leaves first
+    differ where they differ in one component's tree.  Hence the first
+    maximum leaf of the union is the union of the components' first maximum
+    leaves.
+    """
+
+    def solve(mask: int, floor: int) -> int:
+        # vertices isolated within mask are in every optimum
+        iso = 0
         m = mask
         while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = bin(bits[v] & mask).count("1")
+            low = m & -m
+            m ^= low
+            if not bits[low.bit_length() - 1] & mask:
+                iso |= low
+        if iso:
+            mask ^= iso
+            floor -= iso.bit_count()
+        if not mask:
+            return iso if floor < 0 else -1
+        comp = _component(bits, mask)
+        if comp != mask:
+            out = iso
+            while mask:
+                out |= solve(comp, -1)
+                mask ^= comp
+                comp = _component(bits, mask)
+            return out if (out ^ iso).bit_count() > floor else -1
+        if floor > 0 and _clique_cover_bound(bits, mask) <= floor:
+            return -1
+        # pivot: max degree within mask, lowest id on ties
+        pivot = pdeg = -1
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            d = (bits[v] & mask).bit_count()
             if d > pdeg:
                 pivot, pdeg = v, d
-        rec(mask & ~(bits[pivot] | (1 << pivot)), chosen | (1 << pivot), size + 1)
-        rec(mask & ~(1 << pivot), chosen, size)
+        p = 1 << pivot
+        inc = solve(mask & ~(bits[pivot] | p), floor - 1)
+        if inc >= 0:
+            inc |= p
+            floor = inc.bit_count()
+        exc = solve(mask ^ p, floor)
+        if exc >= 0:
+            return exc | iso
+        return inc | iso if inc >= 0 else -1
 
-    rec(mask, 0, 0)
-    return best
+    return solve(mask, -1)
 
 
 def max_independent_set(g: Graph) -> VertexSet:
@@ -204,7 +244,7 @@ def max_independent_set(g: Graph) -> VertexSet:
 def alpha_mask(g: Graph, mask: int) -> int:
     if mask == 0:
         return 0
-    return bin(_mis_mask(g.adjacency_bits(), mask)).count("1")
+    return _mis_mask(g.adjacency_bits(), mask).bit_count()
 
 
 def alpha_of_subset(g: Graph, s: Iterable[int]) -> int:
@@ -439,16 +479,3 @@ def find_induced_subdivided_star(
                 rays = tuple((m, l) for m, l in zip(mids, leaves))
                 return center, rays
     return None
-
-
-def brute_force_alpha(g: Graph) -> int:
-    """Reference independence number by subset enumeration (tiny graphs)."""
-    best = 0
-    for mask in range(1 << g.n):
-        size = bin(mask).count("1")
-        if size <= best:
-            continue
-        vs = [v for v in range(g.n) if mask >> v & 1]
-        if is_independent(g, vs):
-            best = size
-    return best

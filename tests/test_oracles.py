@@ -6,6 +6,7 @@ import pytest
 from treealpha.graph import Graph, is_independent
 from treealpha.oracles import (
     Witness,
+    _mis_mask,
     alpha_of_subset,
     biclique_witness,
     bipartite_max_matching,
@@ -15,6 +16,7 @@ from treealpha.oracles import (
     find_induced_subdivided_star,
     matching_witness,
     max_independent_set,
+    max_independent_subset,
     path_witness,
     verify_witness,
 )
@@ -77,6 +79,151 @@ def test_alpha_of_subset_examples():
     assert alpha_of_subset(complete(4), (0, 1, 2, 3)) == 1
     with pytest.raises(ValueError):
         alpha_of_subset(c5, (0, 9))
+
+
+def _seed_clique_cover_bound(bits, mask):
+    """Greedy clique cover of the masked vertices; its size bounds alpha."""
+    cliques = []
+    m = mask
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        nb = bits[v]
+        for i, c in enumerate(cliques):
+            if c & ~nb == 0:  # v adjacent to every current member
+                cliques[i] = c | (1 << v)
+                break
+        else:
+            cliques.append(1 << v)
+    return len(cliques)
+
+
+def _seed_mis_mask(bits, mask):
+    """Reference: plain branch and bound with no component splitting.
+
+    Branches on a maximum-degree vertex (ties to the lowest id), trying the
+    include branch first; ties between optima keep the first one found.  The
+    library must return exactly this set, since the engine roots at its
+    minimum.
+    """
+    best = 0
+    best_size = -1
+
+    def rec(mask, chosen, size):
+        nonlocal best, best_size
+        # strip vertices isolated within mask: always take them
+        while True:
+            m, grabbed = mask, 0
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                if bits[v] & mask == 0:
+                    grabbed |= 1 << v
+            if not grabbed:
+                break
+            chosen |= grabbed
+            size += bin(grabbed).count("1")
+            mask &= ~grabbed
+        if not mask:
+            if size > best_size:
+                best_size = size
+                best = chosen
+            return
+        if size + _seed_clique_cover_bound(bits, mask) <= best_size:
+            return
+        # pivot: max degree within mask, lowest id on ties
+        pivot, pdeg = -1, -1
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = bin(bits[v] & mask).count("1")
+            if d > pdeg:
+                pivot, pdeg = v, d
+        rec(mask & ~(bits[pivot] | (1 << pivot)), chosen | (1 << pivot), size + 1)
+        rec(mask & ~(1 << pivot), chosen, size)
+
+    rec(mask, 0, 0)
+    return best
+
+
+def _disjoint_union(pieces, rng):
+    """Disjoint union of ``pieces`` under a random relabelling."""
+    n = sum(p.n for p in pieces)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges, offset = [], 0
+    for p in pieces:
+        edges += [(labels[offset + u], labels[offset + v]) for u, v in p.edges()]
+        offset += p.n
+    return Graph(n, edges)
+
+
+def _mask_members(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def test_mis_returns_the_reference_set():
+    rng = random.Random(29)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(0, 16)
+        graphs.append(random_graph(n, rng.choice([0.05, 0.12, 0.25, 0.4, 0.7]), rng))
+    for _ in range(60):
+        pieces = [
+            random_graph(rng.randint(1, 6), rng.choice([0.3, 0.6, 0.9]), rng)
+            for _ in range(rng.randint(2, 5))
+        ]
+        graphs.append(_disjoint_union(pieces, rng))
+    for g in graphs:
+        bits = g.adjacency_bits()
+        full = (1 << g.n) - 1
+        want = _seed_mis_mask(bits, full)
+        assert _mis_mask(bits, full) == want
+        assert max_independent_set(g) == _mask_members(want)
+        for _ in range(5):
+            mask = rng.getrandbits(g.n) if g.n else 0
+            want = _seed_mis_mask(bits, mask)
+            assert _mis_mask(bits, mask) == want
+            assert max_independent_subset(g, _mask_members(mask)) == _mask_members(want)
+
+
+def test_mis_first_optimum_on_many_components():
+    # 200 triangles, then two C5s and two P4s, each on consecutive ids.  The
+    # greedy clique cover counts 3 for each C5 (alpha 2), so a search that
+    # does not split components cannot prune the triangles' exclude branches.
+    edges = []
+    for t in range(200):
+        a = 3 * t
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+    base = 600
+    for _ in range(2):
+        edges += [(base + i, base + (i + 1) % 5) for i in range(5)]
+        base += 5
+    for _ in range(2):
+        edges += [(base, base + 1), (base + 1, base + 2), (base + 2, base + 3)]
+        base += 4
+    g = Graph(base, edges)
+    got = max_independent_set(g)
+    assert [v // 3 for v in got if v < 600] == list(range(200))
+    # first optimum: a triangle keeps its lowest vertex; a C5 c0..c4 takes
+    # c0 then c2; a P4 a-b-c-d pivots on b and then takes the isolated d
+    want = [3 * t for t in range(200)]
+    want += [600, 602, 605, 607]
+    want += [611, 613, 615, 617]
+    assert got == tuple(want)
+
+
+def test_alpha_matches_networkx_clique_number_of_complement():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(1, 14)
+        g = random_graph(n, rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
+        gx = nx.empty_graph(n)
+        gx.add_edges_from(g.edges())
+        _, omega = nx.max_weight_clique(nx.complement(gx), weight=None)
+        assert len(max_independent_set(g)) == omega
 
 
 # -- bipartite matching ---------------------------------------------------------
