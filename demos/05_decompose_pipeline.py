@@ -1,8 +1,9 @@
 """The full engine: biclique or a decomposition with bag independence <= 4*ell.
 
-The construction deletes a root vertex with a small closed neighborhood,
-decomposes the rest recursively, then restructures until all the root's
-neighbors share a bag and hangs N[r] off that bag as a leaf.  Watching the
+A forward pass deletes root vertices with small closed neighborhoods one at
+a time; a backward pass adds them back in reverse order, restructuring until
+all of each root's remaining neighbors share a bag and hanging N[r] off that
+bag as a leaf.  Watching the
 5-cycle go through one restructuring round shows each move explicitly.
 """
 

@@ -17,17 +17,14 @@ from .graph import Graph, parse_graph, serialize_graph
 from .harness import (
     audit_sandwich,
     exact_tia,
+    find_pattern,
     gen_class_free,
     gen_p5_free,
     parse_pattern,
     summarize,
     write_report,
 )
-from .oracles import (
-    ForbiddenStructureFound,
-    find_induced_complete_bipartite,
-    find_induced_path,
-)
+from .oracles import ForbiddenStructureFound
 from .separators import (
     DisconnectedGraphError,
     dbs_low_alpha_vertex,
@@ -92,17 +89,7 @@ def _cmd_alpha_degeneracy(args) -> int:
 
 def _cmd_find(args) -> int:
     g = _load_graph(args.graph)
-    spec = args.pattern
-    if spec == "p5":
-        w = find_induced_path(g, 5)
-    elif spec.startswith("path:"):
-        w = find_induced_path(g, int(spec.split(":")[1]))
-    elif spec.startswith("kll:"):
-        ell = int(spec.split(":")[1])
-        w = find_induced_complete_bipartite(g, ell, ell)
-    else:
-        print(f"unknown pattern {spec!r}", file=sys.stderr)
-        return ERROR
+    w = find_pattern(g, parse_pattern(args.pattern))
     if w is None:
         print(json.dumps({"found": False}))
         return OK
@@ -208,7 +195,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("find", help="brute-force induced pattern search")
     p.add_argument("graph")
-    p.add_argument("--pattern", required=True, help="p5 | kll:L | path:T")
+    p.add_argument("--pattern", required=True,
+                   help="p5 | path:T | kll:L | k2l:L | biclique:A:B | substar:D")
     p.set_defaults(func=_cmd_find)
 
     p = sub.add_parser("low-alpha", help="vertex with small closed-neighborhood alpha")

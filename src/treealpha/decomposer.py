@@ -4,14 +4,22 @@ Given a graph with no induced 5-vertex path and a target ``ell``, the engine
 either produces an induced balanced biclique K_{ell,ell} or builds a tree
 decomposition whose every bag has independence number at most ``4*ell``.
 
-The core loop fixes a root vertex r whose closed neighborhood has small
-independence number, decomposes the rest recursively, and then repeatedly
-restructures the decomposition until all neighbors of r share a bag.  Each
-restructuring step strictly grows the number of co-bagged neighbor pairs, so
-the loop finishes within (deg r choose 2) rounds.  Every structural fact the
-surgery relies on is asserted at run time; a failed assertion is converted
-into a verified witness (an induced path or biclique) that refutes the
-caller's promise about the input.
+The engine makes two passes over the input graph, always in its own vertex
+ids.  The forward pass eliminates one root at a time: each root r is a vertex
+whose closed neighborhood among the vertices not yet eliminated has small
+independence number.  Those vertices, r included, are the level of r.  The
+backward pass starts from a single bag holding the last vertex and adds the
+roots back in reverse order.  Adding r back restructures the decomposition of
+its level minus r until all neighbors of r in the level share a bag, then
+hangs the bag N[r] (within the level) off that bag.  The decomposition handed
+to each step covers exactly the level minus r, so the level is read off its
+bags, and every read of the graph in the restructuring stays inside it.
+
+Each restructuring step strictly grows the number of co-bagged neighbor
+pairs, so the loop finishes within (deg r choose 2) rounds.  Every structural
+fact the surgery relies on is asserted at run time; a failed assertion is
+converted into a verified witness (an induced path or biclique) that refutes
+the caller's promise about the input.
 """
 
 from __future__ import annotations
@@ -20,14 +28,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Union
 
-from .graph import (
-    Graph,
-    VertexSet,
-    closed_neighborhood,
-    components,
-    induced_subgraph,
-    vertex_set,
-)
+from .graph import Graph, VertexSet, components, vertex_set
 from .oracles import (
     BICLIQUE,
     ForbiddenStructureFound,
@@ -49,6 +50,7 @@ from .treedecomp import (
     single_bag_decomposition,
     subtree_distance,
     td_alpha,
+    validate,
 )
 
 
@@ -59,10 +61,29 @@ class DecompositionError(RuntimeError):
 # -- small helpers -----------------------------------------------------------
 
 
-def _nrbar(g: Graph, r: int, v: int) -> set[int]:
-    """Neighbors of v outside the closed neighborhood of r."""
-    nr = set(g.neighbors(r))
-    return {u for u in g.neighbors(v) if u != r and u not in nr}
+def _level(g: Graph, r: int, td: TreeDecomposition) -> tuple[set[int], VertexSet]:
+    """The level of root r, and the neighbors of r in it.
+
+    ``td`` decomposes the level minus r, so the level is read off its bags.
+    """
+    level = set(td.vertices()) | {r}
+    return level, tuple(u for u in g.neighbors(r) if u in level)
+
+
+def _nrbar(
+    g: Graph, r: int, level: set[int], nr: VertexSet
+) -> dict[int, set[int]]:
+    """For each neighbor u of r, the neighbors of u in the level outside N[r]."""
+    far = level.difference(nr, (r,))
+    return {u: far.intersection(g.neighbors(u)) for u in nr}
+
+
+def _rim(g: Graph, comp: VertexSet, level: set[int]) -> set[int]:
+    """Neighbors of the vertex set ``comp`` in the level, outside comp."""
+    inside = set(comp)
+    return {
+        u for c in comp for u in g.neighbors(c) if u in level and u not in inside
+    }
 
 
 def _raise_with_witness(g: Graph, w: Witness, msg: str) -> None:
@@ -113,57 +134,12 @@ def _adjacency_flip_on_path(
     return parent[goal], goal
 
 
-def _validate_over(g: Graph, td: TreeDecomposition, subset: set[int]) -> list[str]:
-    """Tree-decomposition conditions for the induced subgraph on ``subset``."""
-    out: list[str] = []
-    k = td.node_count
-    if k == 0:
-        return ["no nodes"]
-    if len(td.edges) != k - 1:
-        out.append("node graph is not a tree (edge count)")
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        t = frontier.pop()
-        for s in td.node_neighbors(t):
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    if len(seen) != k:
-        out.append("node graph disconnected")
-    if out:
-        return out
-    for bag in td.bags:
-        stray = [v for v in bag if v not in subset]
-        if stray:
-            out.append(f"bag contains vertices outside the graph: {stray}")
-            return out
-    for v in sorted(subset):
-        nodes = td.subtree(v)
-        if not nodes:
-            out.append(f"vertex {v} in no bag")
-            continue
-        nodeset = set(nodes)
-        reach = {nodes[0]}
-        frontier = [nodes[0]]
-        while frontier:
-            t = frontier.pop()
-            for s in td.node_neighbors(t):
-                if s in nodeset and s not in reach:
-                    reach.add(s)
-                    frontier.append(s)
-        if len(reach) != len(nodes):
-            out.append(f"vertex {v} has a disconnected bag set")
-    for u in sorted(subset):
-        for v in g.neighbors(u):
-            if u < v and v in subset:
-                if not set(td.subtree(u)) & set(td.subtree(v)):
-                    out.append(f"edge {u}-{v} uncovered")
-    return out
-
-
 def _postcondition_failure(g: Graph, ell: int, msg: str) -> None:
-    """Diagnose a failed surgery postcondition: hunt for the broken promise."""
+    """Diagnose a failed surgery postcondition: hunt for the broken promise.
+
+    Searches all of ``g``, not only the level: any induced P5 or K_{ell,ell}
+    of the input refutes the promise.
+    """
     w = find_induced_path(g, 5)
     if w is not None:
         _raise_with_witness(g, w, f"{msg}; input contains an induced P5")
@@ -180,9 +156,12 @@ def _postcondition_failure(g: Graph, ell: int, msg: str) -> None:
 class PairContext:
     """Everything the surgeries need about a root r and pair (x, y).
 
-    All vertex sets use the host graph's ids; ``td`` decomposes the graph
-    minus r.  Construction asserts the structural facts the surgeries rely
-    on, converting any failure into a witness.
+    All vertex sets use the host graph's ids and lie inside ``level``, the
+    vertices not yet eliminated when r was chosen; ``td`` decomposes the level
+    minus r.  ``nrbar`` maps each neighbor u of r in the level to the
+    neighbors of u in the level outside N[r].  Construction asserts the
+    structural facts the surgeries rely on, converting any failure into a
+    witness.
     """
 
     g: Graph
@@ -192,6 +171,8 @@ class PairContext:
     y: int
     ell: int
     bad: bool = field(init=False)
+    level: set[int] = field(init=False)
+    nrbar: dict[int, set[int]] = field(init=False)
     m: set[int] = field(init=False)
     u_all: set[int] = field(init=False)
     u0: set[int] = field(init=False)
@@ -219,7 +200,7 @@ def build_pair_context(
     promise on the input.
     """
     ctx = PairContext(g=g, root=r, td=td, x=x, y=y, ell=ell)
-    nr = set(g.neighbors(r))
+    ctx.level, nr = _level(g, r, td)
     if x not in nr or y not in nr or x == y:
         raise ValueError("x and y must be distinct neighbors of the root")
     if set(td.subtree(x)) & set(td.subtree(y)):
@@ -227,9 +208,10 @@ def build_pair_context(
     if g.adjacent(x, y):
         raise DecompositionError("co-bag pair is adjacent but shares no bag")
 
-    nrx, nry = _nrbar(g, r, x), _nrbar(g, r, y)
-    ctx.m = nr | nrx | nry
-    ctx.u_all = {u for u in nr if _nrbar(g, r, u) - (nrx | nry)}
+    ctx.nrbar = _nrbar(g, r, ctx.level, nr)
+    nrx, nry = ctx.nrbar[x], ctx.nrbar[y]
+    ctx.m = set(nr) | nrx | nry
+    ctx.u_all = {u for u in nr if ctx.nrbar[u] - (nrx | nry)}
     ctx.u0 = {u for u in ctx.u_all if not g.adjacent(u, x) and not g.adjacent(u, y)}
     ctx.ux = {u for u in ctx.u_all if g.adjacent(u, x) and not g.adjacent(u, y)}
     ctx.uy = {u for u in ctx.u_all if g.adjacent(u, y) and not g.adjacent(u, x)}
@@ -238,16 +220,15 @@ def build_pair_context(
     ctx.w_y = nry - nrx
     ctx.w_xy = nrx & nry
     ctx.bad = alpha_of_subset(g, ctx.w_x) >= ell
-    outside = set(range(g.n)) - ctx.m - {r}
-    ctx.comps = tuple(components(g, outside))
+    ctx.comps = tuple(components(g, ctx.level - ctx.m - {r}))
     path = td.path_between_subtrees(x, y)
     ctx.t_x, ctx.t_y = path[0], path[-1]
     ctx.path_xy = path
     ctx.movable = {
         u
         for u in ctx.u_all
-        if (nrx - _nrbar(g, r, u)) <= nry
-        and alpha_of_subset(g, nrx - _nrbar(g, r, u)) <= ell - 1
+        if (nrx - ctx.nrbar[u]) <= nry
+        and alpha_of_subset(g, nrx - ctx.nrbar[u]) <= ell - 1
     }
 
     _assert_component_structure(ctx, nrx, nry)
@@ -261,8 +242,7 @@ def _assert_component_structure(ctx: PairContext, nrx: set, nry: set) -> None:
     components complete to their private-side attachments."""
     g, r, x, y = ctx.g, ctx.root, ctx.x, ctx.y
     for comp in ctx.comps:
-        inside = set(comp)
-        nc = {u for c in comp for u in g.neighbors(c) if u not in inside}
+        nc = _rim(g, comp, ctx.level)
         for w in sorted(nc - ctx.u_all - ctx.w_xy):
             c = min(v for v in comp if g.adjacent(w, v))
             if w in ctx.w_x:
@@ -311,8 +291,8 @@ def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
         for u_y in sorted(ctx.uy):
             if g.adjacent(u_x, u_y):
                 continue
-            out_x = sorted(_nrbar(g, r, u_x) - nrx - nry)
-            out_y = sorted(_nrbar(g, r, u_y) - nrx - nry)
+            out_x = sorted(ctx.nrbar[u_x] - nrx - nry)
+            out_y = sorted(ctx.nrbar[u_y] - nrx - nry)
             common = sorted(set(out_x) & set(out_y))
             if common:
                 _raise_with_witness(
@@ -332,7 +312,7 @@ def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
     for u in sorted(ctx.u0 | ctx.uy):
         pair = _first_noncomplete(g, [u], ctx.w_x)
         if pair is not None:
-            w_u = min(_nrbar(g, r, u) - nrx - nry)
+            w_u = min(ctx.nrbar[u] - nrx - nry)
             _raise_with_witness(
                 g, path_witness((pair[1], x, r, u, w_u)),
                 "outward neighbor of r misses a private neighbor of x",
@@ -340,15 +320,13 @@ def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
     for u in sorted(ctx.u0 | ctx.ux):
         pair = _first_noncomplete(g, [u], ctx.w_y)
         if pair is not None:
-            w_u = min(_nrbar(g, r, u) - nrx - nry)
+            w_u = min(ctx.nrbar[u] - nrx - nry)
             _raise_with_witness(
                 g, path_witness((pair[1], y, r, u, w_u)),
                 "outward neighbor of r misses a private neighbor of y",
             )
     for comp in ctx.comps:
-        inside = set(comp)
-        nc = {u for c in comp for u in g.neighbors(c) if u not in inside}
-        for w in sorted(nc & ctx.w_xy):
+        for w in sorted(_rim(g, comp, ctx.level) & ctx.w_xy):
             if all(g.adjacent(w, c) for c in comp):
                 continue
             c_adj, c_non = _adjacency_flip_on_path(g, comp, w)
@@ -358,7 +336,7 @@ def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
             )
     # movability claims
     for u0 in sorted(ctx.u0 - ctx.movable):
-        s = ctx.w_xy - _nrbar(g, r, u0)
+        s = ctx.w_xy - ctx.nrbar[u0]
         pair = _first_noncomplete(g, ctx.w_x, s)
         if pair is not None:
             wx, ws = pair
@@ -391,8 +369,11 @@ def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
 def enumerate_uncobagged_pairs(
     g: Graph, r: int, td: TreeDecomposition
 ) -> list[tuple[int, int]]:
-    """Ordered pairs of neighbors of r not sharing any bag, lexicographic."""
-    nr = g.neighbors(r)
+    """Ordered pairs of neighbors of r not sharing any bag, lexicographic.
+
+    Only neighbors in the level count: those ``td`` holds.
+    """
+    nr = _level(g, r, td)[1]
     out: list[tuple[int, int]] = []
     for x in nr:
         sx = set(td.subtree(x))
@@ -418,10 +399,10 @@ def select_pair(
     pairs = enumerate_uncobagged_pairs(g, r, td)
     if not pairs:
         return None
+    nrbar = _nrbar(g, r, *_level(g, r, td))
     scored = []
     for x, y in pairs:
-        wx = _nrbar(g, r, x) - _nrbar(g, r, y)
-        bad = alpha_of_subset(g, wx) >= ell
+        bad = alpha_of_subset(g, nrbar[x] - nrbar[y]) >= ell
         scored.append((bad, subtree_distance(td, x, y), x, y))
     bads = [s for s in scored if s[0]]
     pool = bads if bads else scored
@@ -489,11 +470,9 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     edges: list[tuple[int, int]] = list(td.edges)
     add_free = ctx.u_all - ctx.uxy
     for comp in ctx.comps:
-        inside = set(comp)
-        closed = inside | {
-            u for c in comp for u in g.neighbors(c) if u not in inside
-        }
-        extra = (closed - inside) & add_free
+        rim = _rim(g, comp, ctx.level)
+        closed = set(comp) | rim
+        extra = rim & add_free
         offset = len(bags)
         for t in range(k):
             bags.append(tuple(sorted((set(td.bags[t]) & closed) | extra)))
@@ -534,10 +513,9 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     for t, bag in enumerate(inter):
         for v in bag:
             subtree_of[v] = subtree_of.get(v, 0) | (1 << t)
-    parent = _root_tree(td, 0)
-    below = _descendant_masks(td, parent)
+    parent, below = _rooted_masks(td)
     final: list[set[int]] = [set(b) for b in inter]
-    outside_sorted = sorted(set(range(g.n)) - ctx.m - {r})
+    outside_sorted = sorted(ctx.level - ctx.m - {r})
     pulled: set[int] = set()
     for c in outside_sorted:
         marks = [subtree_of[a] for a in g.neighbors(c) if a in ctx.m]
@@ -567,8 +545,7 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     anchors: list[int] = []
     for comp in ctx.comps:
         inside = set(comp)
-        nc = {u for c in comp for u in g.neighbors(c) if u not in inside}
-        key = sorted(nc - ctx.uxy)
+        key = sorted(_rim(g, comp, ctx.level) - ctx.uxy)
         fit = [
             t
             for t in range(k)
@@ -598,13 +575,12 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     bags: list[VertexSet] = [tuple(sorted(b)) for b in final]
     edges: list[tuple[int, int]] = list(td.edges)
     m_prime = ctx.m | pulled
-    rest = sorted(set(range(g.n)) - m_prime - {r})
+    rest = sorted(ctx.level - m_prime - {r})
     for dcomp in components(g, rest):
-        inside = set(dcomp)
-        nd = {u for c in dcomp for u in g.neighbors(c) if u not in inside}
+        nd = _rim(g, dcomp, ctx.level)
         spread = nd - ctx.uxy
         offset = len(bags)
-        closed = inside | nd
+        closed = set(dcomp) | nd
         for t in range(k):
             bags.append(tuple(sorted((set(td.bags[t]) & closed) | spread)))
         edges.extend((a + offset, b + offset) for a, b in td.edges)
@@ -616,34 +592,24 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     return out
 
 
-def _root_tree(td: TreeDecomposition, root: int) -> list[int]:
+def _rooted_masks(td: TreeDecomposition) -> tuple[list[int], list[int]]:
+    """Parents (-1 at the root) and descendant node masks, rooted at node 0.
+
+    One traversal records the parents and the visit order; each node's mask
+    is then ORed into its parent's in reverse visit order.
+    """
     parent = [-2] * td.node_count
-    parent[root] = -1
-    frontier = [root]
-    while frontier:
-        t = frontier.pop()
+    parent[0] = -1
+    order = [0]
+    for t in order:
         for s in td.node_neighbors(t):
             if parent[s] == -2:
                 parent[s] = t
-                frontier.append(s)
-    return parent
-
-
-def _descendant_masks(td: TreeDecomposition, parent: list[int]) -> list[int]:
-    order = sorted(range(td.node_count), key=lambda t: -_depth_of(parent, t))
+                order.append(s)
     below = [1 << t for t in range(td.node_count)]
-    for t in order:
-        if parent[t] >= 0:
-            below[parent[t]] |= below[t]
-    return below
-
-
-def _depth_of(parent: list[int], t: int) -> int:
-    d = 0
-    while parent[t] >= 0:
-        t = parent[t]
-        d += 1
-    return d
+    for t in reversed(order[1:]):
+        below[parent[t]] |= below[t]
+    return parent, below
 
 
 def _bfs_depths(td: TreeDecomposition, start: int) -> list[int]:
@@ -730,8 +696,7 @@ def _check_surgery_output(
     ctx: PairContext, out: TreeDecomposition, label: str
 ) -> None:
     g, ell, r = ctx.g, ctx.ell, ctx.root
-    subset = set(range(g.n)) - {r}
-    problems = _validate_over(g, out, subset)
+    problems = validate(g, out, ctx.level - {r})
     if problems:
         _postcondition_failure(g, ell, f"{label} broke validity: {problems[:3]}")
     if td_alpha(g, out) > 4 * ell:
@@ -750,14 +715,14 @@ def saturate_root(
     ell: int,
     log: Optional[list] = None,
 ) -> TreeDecomposition:
-    """Restructure until every pair of neighbors of r shares a bag.
+    """Restructure until every pair of neighbors of r in its level shares a bag.
 
-    Each round merges the selected pair and strictly grows the set of
+    ``td`` decomposes the level of r minus r.  Each round merges the selected pair and strictly grows the set of
     co-bagged neighbor pairs, so at most (deg r choose 2) rounds run.  The
     decomposition is compressed between rounds; compression never drops a
     co-bagged pair.
     """
-    nr = g.neighbors(r)
+    nr = _level(g, r, td)[1]
     entry = {"root": r, "degree": len(nr), "iterations": 0, "pairs": []}
     limit = comb(len(nr), 2)
     while True:
@@ -797,7 +762,8 @@ def decompose(
 
     Raises ForbiddenStructureFound if the graph contains an induced
     5-vertex path (checked up front when ``check_p5`` is set, and whenever
-    an internal assertion uncovers one).
+    an internal assertion uncovers one).  The forward pass picks the roots,
+    the backward pass adds them back; see the module docstring.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -805,76 +771,40 @@ def decompose(
         w = find_induced_path(g, 5)
         if w is not None:
             raise ForbiddenStructureFound(w, "input contains an induced P5")
-    result = _decompose(g, ell, log)
-    if isinstance(result, TreeDecomposition):
-        subset = set(range(g.n))
-        problems = _validate_over(g, result, subset)
-        if problems:
-            raise DecompositionError(f"final decomposition invalid: {problems[:3]}")
-        if td_alpha(g, result) > 4 * ell:
-            raise DecompositionError("final decomposition exceeds the bag bound")
-    return result
-
-
-def _lift_witness(g: Graph, w: Witness, mapping: VertexSet) -> Witness:
-    lifted = Witness(
-        w.kind, tuple(tuple(mapping[v] for v in part) for part in w.parts)
-    )
-    if not verify_witness(g, lifted):
-        raise DecompositionError("witness did not survive id lifting")
-    return lifted
-
-
-def _decompose(
-    g: Graph, ell: int, log: Optional[list]
-) -> Union[Witness, TreeDecomposition]:
-    if g.n == 0:
-        return single_bag_decomposition(())
-    if g.n == 1:
-        return single_bag_decomposition((0,))
-    report = low_alpha_vertex(g, ell, 2)
-    if report.witness is not None:
-        if report.witness.kind == BICLIQUE:
-            return report.witness
-        raise ForbiddenStructureFound(
-            report.witness, "input contains an induced P5"
-        )
-    r = report.vertex
-    sub, mapping = induced_subgraph(g, [v for v in range(g.n) if v != r])
-    mark = len(log) if log is not None else 0
-    try:
-        inner = _decompose(sub, ell, log)
-    except ForbiddenStructureFound as exc:
-        lifted = _lift_witness(g, exc.witness, mapping)
-        if lifted.kind == BICLIQUE:
-            return lifted
-        raise ForbiddenStructureFound(lifted, str(exc)) from None
-    finally:
-        if log is not None:
-            for entry in log[mark:]:
-                entry["root"] = mapping[entry["root"]]
-                entry["pairs"] = [
-                    (mapping[x], mapping[y], bad, mode)
-                    for x, y, bad, mode in entry["pairs"]
-                ]
-    if isinstance(inner, Witness):
-        return _lift_witness(g, inner, mapping)
-    td = inner.relabel_vertices(mapping)
-    try:
-        td = saturate_root(g, r, td, ell, log)
-    except ForbiddenStructureFound as exc:
-        if exc.witness.kind == BICLIQUE:
-            return exc.witness
-        raise
-    nr = g.neighbors(r)
-    t = find_bag_containing_set(td, nr)
-    if t is None:
-        raise DecompositionError(
-            "no bag holds all neighbors of the root after saturation"
-        )
-    bags = td.bags + (closed_neighborhood(g, r),)
-    edges = td.edges + ((t, len(td.bags)),)
-    return TreeDecomposition(edges, bags)
+    alive = set(range(g.n))
+    roots: list[int] = []
+    while len(alive) >= 2:
+        report = low_alpha_vertex(g, ell, 2, within=alive)
+        if report.witness is not None:
+            if report.witness.kind == BICLIQUE:
+                return report.witness
+            raise ForbiddenStructureFound(
+                report.witness, "input contains an induced P5"
+            )
+        roots.append(report.vertex)
+        alive.remove(report.vertex)
+    td = single_bag_decomposition(alive)
+    for r in reversed(roots):
+        try:
+            td = saturate_root(g, r, td, ell, log)
+        except ForbiddenStructureFound as exc:
+            if exc.witness.kind == BICLIQUE:
+                return exc.witness
+            raise
+        nr = _level(g, r, td)[1]
+        t = find_bag_containing_set(td, nr)
+        if t is None:
+            raise DecompositionError(
+                "no bag holds all neighbors of the root after saturation"
+            )
+        bags = td.bags + (vertex_set(nr + (r,)),)
+        td = TreeDecomposition(td.edges + ((t, len(td.bags)),), bags)
+    problems = validate(g, td)
+    if problems:
+        raise DecompositionError(f"final decomposition invalid: {problems[:3]}")
+    if td_alpha(g, td) > 4 * ell:
+        raise DecompositionError("final decomposition exceeds the bag bound")
+    return td
 
 
 def approximate_tia(

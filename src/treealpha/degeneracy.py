@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .graph import Graph, VertexSet, closed_neighborhood, vertex_set, is_independent
 from .oracles import (
@@ -22,7 +22,6 @@ from .oracles import (
     biclique_witness,
     bipartite_max_matching,
     matching_witness,
-    max_independent_set,
     max_independent_subset,
     path_witness,
     verify_witness,
@@ -252,21 +251,28 @@ class LowAlphaReport:
         }
 
 
-def low_alpha_vertex(g: Graph, ell: int, d: int = 2) -> LowAlphaReport:
+def low_alpha_vertex(
+    g: Graph, ell: int, d: int = 2, within: Optional[Iterable[int]] = None
+) -> LowAlphaReport:
     """A vertex whose closed neighborhood has small independence number.
 
     The vertex is the least member of the deterministic maximum independent
     set.  The bound is 2*ell for d=2 and d^2*ell + 2*d*ell^(d-1) otherwise;
     when the neighborhood beats the bound, the proof's extraction runs and
     the report carries a verified witness instead.
+
+    ``within`` is the vertex set searched, all of ``g`` by default.  The
+    maximum independent set and N[v] are taken inside it, so the report is
+    the one for the subgraph it induces, in the ids of ``g``.
     """
     if ell < 2 or d < 2:
         raise ValueError("ell and d must be >= 2")
-    if g.n == 0:
+    scope = set(range(g.n) if within is None else within)
+    if not scope:
         raise ValueError("graph must be non-null")
-    mis = max_independent_set(g)
+    mis = max_independent_subset(g, scope)
     v = min(mis)
-    nv = closed_neighborhood(g, v)
+    nv = tuple(u for u in closed_neighborhood(g, v) if u in scope)
     j_set = max_independent_subset(g, nv)
     alpha_closed = len(j_set)
     bound = 2 * ell if d == 2 else d * d * ell + 2 * d * ell ** (d - 1)

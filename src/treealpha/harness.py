@@ -21,7 +21,9 @@ from .decomposer import approximate_tia
 from .degeneracy import alpha_degeneracy
 from .graph import Graph
 from .oracles import (
+    SUBSTAR,
     ForbiddenStructureFound,
+    Witness,
     alpha_of_subset,
     find_induced_complete_bipartite,
     find_induced_path,
@@ -133,32 +135,40 @@ def induced_biclique_number(g: Graph) -> int:
 
 def parse_pattern(text: str) -> tuple:
     """Parse ``path:T``, ``biclique:A:B``, ``kll:L``, ``k2l:L``, ``substar:D``."""
-    parts = text.strip().lower().split(":")
-    if parts[0] in ("path", "p"):
-        return ("path", int(parts[1]))
-    if parts[0] == "p5":
-        return ("path", 5)
-    if parts[0] == "biclique":
-        return ("biclique", int(parts[1]), int(parts[2]))
-    if parts[0] == "kll":
-        ell = int(parts[1])
-        return ("biclique", ell, ell)
-    if parts[0] == "k2l":
-        return ("biclique", 2, int(parts[1]))
-    if parts[0] == "substar":
-        return ("substar", int(parts[1]))
+    kind, *args = text.strip().lower().split(":")
+    try:
+        if kind in ("path", "p"):
+            return ("path", int(args[0]))
+        if kind == "p5":
+            return ("path", 5)
+        if kind == "biclique":
+            return ("biclique", int(args[0]), int(args[1]))
+        if kind == "kll":
+            return ("biclique", int(args[0]), int(args[0]))
+        if kind == "k2l":
+            return ("biclique", 2, int(args[0]))
+        if kind == "substar":
+            return ("substar", int(args[0]))
+    except IndexError:
+        raise ValueError(f"pattern {text!r} is missing a size") from None
     raise ValueError(f"unknown pattern {text!r}")
 
 
-def pattern_absent(g: Graph, pattern: tuple) -> bool:
+def find_pattern(g: Graph, pattern: tuple) -> Optional[Witness]:
+    """The first induced copy of a parsed pattern in ``g``, or None."""
     kind = pattern[0]
     if kind == "path":
-        return find_induced_path(g, pattern[1]) is None
+        return find_induced_path(g, pattern[1])
     if kind == "biclique":
-        return find_induced_complete_bipartite(g, pattern[1], pattern[2]) is None
+        return find_induced_complete_bipartite(g, pattern[1], pattern[2])
     if kind == "substar":
-        return find_induced_subdivided_star(g, pattern[1]) is None
+        got = find_induced_subdivided_star(g, pattern[1])
+        return None if got is None else Witness(SUBSTAR, ((got[0],),) + got[1])
     raise ValueError(f"unknown pattern {pattern!r}")
+
+
+def pattern_absent(g: Graph, pattern: tuple) -> bool:
+    return find_pattern(g, pattern) is None
 
 
 # -- generators ----------------------------------------------------------------

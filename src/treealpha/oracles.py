@@ -28,8 +28,9 @@ PATH = "path"
 BICLIQUE = "biclique"
 DK2 = "dk2"
 MATCHING = "matching"
+SUBSTAR = "substar"
 
-_KINDS = (PATH, BICLIQUE, DK2, MATCHING)
+_KINDS = (PATH, BICLIQUE, DK2, MATCHING, SUBSTAR)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,8 @@ class Witness:
     kind "path": parts is a single tuple, the path vertices in order.
     kind "biclique": parts are the two sides (sorted), equal in size.
     kind "dk2" / "matching": parts are the edges of an induced matching.
+    kind "substar": parts are ``(center,)`` and then one (mid, leaf) pair per
+    ray of an induced once-subdivided star.
     """
 
     kind: str
@@ -52,6 +55,8 @@ class Witness:
             return len(self.parts[0])
         if self.kind == BICLIQUE:
             return len(self.parts[0])
+        if self.kind == SUBSTAR:
+            return len(self.parts) - 1
         return len(self.parts)
 
 
@@ -128,6 +133,20 @@ def verify_witness(g: Graph, w: Witness) -> bool:
                     if any(g.adjacent(p, q) for p in e for q in f):
                         return False
             return True
+        if w.kind == SUBSTAR:
+            (center,), *rays = w.parts
+            verts = (center,) + tuple(v for ray in rays for v in ray)
+            if not rays or any(len(ray) != 2 for ray in rays):
+                return False
+            if len(set(verts)) != len(verts):
+                return False
+            edges = {frozenset(ray) for ray in rays}
+            edges |= {frozenset((center, mid)) for mid, _ in rays}
+            return all(
+                g.adjacent(u, v) == (frozenset((u, v)) in edges)
+                for i, u in enumerate(verts)
+                for v in verts[i + 1 :]
+            )
         return False
     except (ValueError, TypeError):
         return False

@@ -129,12 +129,19 @@ def single_bag_decomposition(vertices: Iterable[int]) -> TreeDecomposition:
 # -- validation --------------------------------------------------------------
 
 
-def validate(g: Graph, td: TreeDecomposition) -> list[str]:
+def validate(
+    g: Graph, td: TreeDecomposition, vertices: Optional[Iterable[int]] = None
+) -> list[str]:
     """All violations of the tree-decomposition conditions (empty = valid).
 
     Checks that the node graph is a tree, that every vertex appears in a
     nonempty connected set of bags, and that every edge is inside some bag.
+    With ``vertices`` given, ``td`` is checked against the subgraph they
+    induce: a bag vertex outside them is outside the graph, and only edges
+    with both ends among them must be covered.
     """
+    scope = range(g.n) if vertices is None else vertex_set(vertices)
+    inside = set(scope)
     out: list[str] = []
     k = td.node_count
     if k == 0:
@@ -156,10 +163,10 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
         return out
     for bag in td.bags:
         for v in bag:
-            if not (0 <= v < g.n):
+            if v not in inside:
                 out.append(f"bag vertex {v} outside graph")
                 return out
-    for v in range(g.n):
+    for v in scope:
         nodes = td.subtree(v)
         if not nodes:
             out.append(f"vertex {v} appears in no bag")
@@ -175,9 +182,11 @@ def validate(g: Graph, td: TreeDecomposition) -> list[str]:
                     frontier.append(s)
         if len(reach) != len(nodes):
             out.append(f"vertex {v} has a disconnected bag set")
-    for u in range(g.n):
+    for u in scope:
         for v in g.neighbors(u):
-            if u < v and not (set(td.subtree(u)) & set(td.subtree(v))):
+            if u < v and v in inside and not (
+                set(td.subtree(u)) & set(td.subtree(v))
+            ):
                 out.append(f"edge {u}-{v} not covered by any bag")
     return out
 

@@ -139,3 +139,15 @@ def test_audit_cmd(tmp_path, capsys):
     assert main(["audit", "--corpus", str(corpus), "--report", str(report)]) == 0
     assert report.read_text().startswith("seed,")
     capsys.readouterr()
+
+
+def test_find_cmd_takes_every_parsed_pattern(tmp_path, capsys):
+    c4 = tmp_path / "c4.gr"
+    c4.write_text(serialize_graph(cycle(4)))
+    assert main(["find", str(c4), "--pattern", "k2l:2"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["witness"] == {"kind": "biclique", "parts": [[0, 2], [1, 3]]}
+    assert main(["find", str(c4), "--pattern", "wall:2"]) == 1
+    assert "unknown pattern 'wall:2'" in capsys.readouterr().err
+    assert main(["find", str(c4), "--pattern", "path"]) == 1
+    assert "missing a size" in capsys.readouterr().err

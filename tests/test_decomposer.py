@@ -60,9 +60,7 @@ def test_select_pair_none_when_saturated():
 
 def test_select_pair_prefers_far_bad_pair():
     # (1,2) and (1,3) are both bad; subtree distances 2 and 3
-    from treealpha.decomposer import _validate_over
-
-    assert _validate_over(SPIDER, SPIDER_TD, set(range(1, 6))) == []
+    assert validate(SPIDER, SPIDER_TD, set(range(1, 6))) == []
     sel = select_pair(SPIDER, 0, SPIDER_TD, 2)
     assert sel == (1, 3, True)
 
@@ -126,16 +124,14 @@ def test_bad_transform_pulls_split_outside_vertex():
         ((0, 1), (1, 2), (2, 3), (3, 4)),
         ((1, 4, 5, 6), (1, 3, 8), (1, 8), (1, 7, 8), (2, 7)),
     )
-    from treealpha.decomposer import _validate_over
-
-    assert _validate_over(g, td, set(range(1, 9))) == []
+    assert validate(g, td, set(range(1, 9))) == []
     ctx = build_pair_context(g, 0, td, 1, 2, 3)
     assert ctx.bad and ctx.comps == ((8,),) and not ctx.movable
     out = transform_bad_pair(ctx)
     assert out.bags == (
         (1, 4, 5, 6), (1, 3, 8), (1, 8), (1, 7, 8), (1, 2, 7),
     )
-    assert _validate_over(g, out, set(range(1, 9))) == []
+    assert validate(g, out, set(range(1, 9))) == []
     assert frozenset((1, 2)) in cobagged_pairs(out, (1, 2))
     assert td_alpha(g, out) == 3  # within 4 * ell = 12
 
@@ -161,9 +157,7 @@ def test_bad_transform_movable_attachment_keeps_component_outside():
     master_union = set().union(*map(set, out.bags[:4]))
     assert 7 not in master_union
     assert all(3 in bag for bag in out.bags)  # movable vertex spreads
-    from treealpha.decomposer import _validate_over
-
-    assert _validate_over(g, out, set(range(1, 8))) == []
+    assert validate(g, out, set(range(1, 8))) == []
     assert frozenset((1, 2)) in cobagged_pairs(out, (1, 2))
     assert td_alpha(g, out) <= 12
 

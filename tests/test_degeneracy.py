@@ -310,3 +310,31 @@ def test_alpha_degeneracy_matches_brute_force():
         n = rng.randint(1, 7)
         g = random_graph(n, rng.choice([0.25, 0.5, 0.75]), rng)
         assert alpha_degeneracy(g) == brute_alpha_degeneracy(g)
+
+
+def test_low_alpha_within_matches_the_induced_subgraph():
+    from treealpha.graph import induced_subgraph
+
+    rng = random.Random(7)
+    cases = [(complete_bipartite(5, 5), range(1, 10))]
+    for _ in range(80):
+        g = random_graph(rng.randint(2, 22), rng.choice([0.2, 0.35, 0.5]), rng)
+        cases.append((g, [v for v in range(g.n) if rng.random() < 0.8] or [0]))
+    kinds = set()
+    for g, within in cases:
+        sub, mapping = induced_subgraph(g, within)
+        for ell in (2, 3):
+            got = low_alpha_vertex(g, ell, 2, within=within)
+            want = low_alpha_vertex(sub, ell, 2)
+            assert got.vertex == mapping[want.vertex]
+            assert got.alpha_closed == want.alpha_closed
+            if want.witness is None:
+                assert got.witness is None
+                continue
+            kinds.add(want.witness.kind)
+            assert got.witness.parts == tuple(
+                tuple(mapping[v] for v in part) for part in want.witness.parts
+            )
+    assert kinds == {"path", "biclique"}
+    with pytest.raises(ValueError):
+        low_alpha_vertex(cycle(5), 2, 2, within=())

@@ -7,6 +7,7 @@ from treealpha.graph import Graph
 from treealpha.harness import (
     audit_sandwich,
     exact_tia,
+    find_pattern,
     gen_class_free,
     gen_p5_free,
     induced_biclique_number,
@@ -16,7 +17,7 @@ from treealpha.harness import (
     summarize,
     write_report,
 )
-from treealpha.oracles import find_induced_path
+from treealpha.oracles import SUBSTAR, Witness, find_induced_path, verify_witness
 
 from conftest import complete, complete_bipartite, cycle, edgeless, path_graph, random_graph
 
@@ -146,6 +147,21 @@ def test_pattern_parsing():
     assert parse_pattern("substar:3") == ("substar", 3)
     with pytest.raises(ValueError):
         parse_pattern("wall:2")
+    with pytest.raises(ValueError, match="missing a size"):
+        parse_pattern("biclique:2")
+
+
+def test_find_pattern_returns_verified_witnesses():
+    # a once-subdivided 3-star: center 0, mids 1..3, leaves 4..6
+    s3 = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+    w = find_pattern(s3, ("substar", 3))
+    assert w == Witness(SUBSTAR, ((0,), (1, 4), (2, 5), (3, 6)))
+    assert verify_witness(s3, w) and w.size() == 3
+    assert not verify_witness(Graph(7, s3.edges() + [(4, 5)]), w)
+    assert find_pattern(s3, ("substar", 4)) is None
+    assert verify_witness(cycle(6), find_pattern(cycle(6), ("path", 5)))
+    assert find_pattern(cycle(5), ("path", 5)) is None
+    assert verify_witness(cycle(4), find_pattern(cycle(4), ("biclique", 2, 2)))
 
 
 def test_audit_c5():

@@ -88,6 +88,17 @@ def test_validate_disconnected_subtree():
     assert any("disconnected" in p for p in problems)
 
 
+def test_validate_over_a_vertex_subset():
+    c5 = cycle(5)
+    # decomposes C5 minus 0; the edges 0-1 and 0-4 leave the subset
+    assert validate(c5, PATH_TD, {1, 2, 3, 4}) == []
+    assert validate(c5, PATH_TD) == ["vertex 0 appears in no bag"] + [
+        "edge 0-1 not covered by any bag",
+        "edge 0-4 not covered by any bag",
+    ]
+    assert validate(c5, PATH_TD, {1, 2, 3}) == ["bag vertex 4 outside graph"]
+
+
 def test_td_alpha_examples():
     c5 = cycle(5)
     # reference: enumerate each fan bag
