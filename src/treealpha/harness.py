@@ -6,6 +6,14 @@ elimination bags, and the subset dynamic program minimizes the worst bag
 independence number over all orderings.  Generators certify membership in
 the requested hereditary class by exact pattern search instead of trusting
 their own construction.
+
+A generator walks by random edge flips from a pattern-free graph.  Flipping
+the pair uv changes exactly the induced subgraphs that contain both u and v,
+so every induced copy of a pattern in the flipped graph that was not in the
+graph before contains both u and v.  The walk starts pattern-free and keeps
+a flip only if no copy passes through its pair, so it stays pattern-free,
+and that local search accepts exactly the flips that a whole-graph search
+would.  Every returned graph is still re-certified by the whole-graph search.
 """
 
 from __future__ import annotations
@@ -25,9 +33,11 @@ from .oracles import (
     ForbiddenStructureFound,
     Witness,
     alpha_of_subset,
+    biclique_through,
     find_induced_complete_bipartite,
     find_induced_path,
     find_induced_subdivided_star,
+    path_through,
 )
 from .treedecomp import td_alpha, validate
 
@@ -151,6 +161,8 @@ def parse_pattern(text: str) -> tuple:
             return ("substar", int(args[0]))
     except IndexError:
         raise ValueError(f"pattern {text!r} is missing a size") from None
+    except ValueError:
+        raise ValueError(f"pattern {text!r} has a non-integer size") from None
     raise ValueError(f"unknown pattern {text!r}")
 
 
@@ -187,8 +199,56 @@ def _random_cograph_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
+def _graph_of(bits: Sequence[int]) -> Graph:
+    n = len(bits)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if bits[u] >> v & 1])
+
+
+def _found_through(bits: Sequence[int], pattern: tuple, u: int, v: int) -> bool:
+    """Whether the graph of ``bits`` has a copy of ``pattern`` through u and v.
+
+    Substars have no such search; for them the whole graph is searched.
+    """
+    kind = pattern[0]
+    if kind == "path":
+        return path_through(bits, pattern[1], u, v) is not None
+    if kind == "biclique":
+        return biclique_through(bits, pattern[1], pattern[2], u, v) is not None
+    return find_pattern(_graph_of(bits), pattern) is not None
+
+
+def _flip_walk(g: Graph, rng: random.Random, flips: int, patterns: Sequence[tuple]) -> Graph:
+    """Random edge flips on a pattern-free ``g``, keeping those that stay so.
+
+    Each step draws u and v (u == v is skipped) and keeps the flip of uv
+    unless a pattern has a copy through u and v; by the invariant in the
+    module docstring, that is the same as keeping pattern-free results.
+    """
+    n = g.n
+    bits = list(g.adjacency_bits())
+    for _ in range(flips):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        bits[u] ^= 1 << v
+        bits[v] ^= 1 << u
+        if any(_found_through(bits, p, u, v) for p in patterns):
+            bits[u] ^= 1 << v
+            bits[v] ^= 1 << u
+    return _graph_of(bits)
+
+
 def gen_p5_free(n: int, seed: int, method: str = "union-join") -> Graph:
-    """A certified P5-free graph, deterministic per (n, seed, method)."""
+    """A certified P5-free graph, deterministic per (n, seed, method).
+
+    "union-join" returns a random cograph, which has no induced P4.
+    "perturb-filter" then flips random edges of that cograph, keeping a flip
+    only if no induced P5 passes through both flipped vertices: since the
+    walk starts P5-free, that keeps exactly the flips whose result is
+    P5-free.  Either way the result is re-certified by a whole-graph search
+    before it is returned.
+    """
     if method not in ("union-join", "perturb-filter"):
         raise ValueError(f"unknown method {method!r}")
     if n < 1:
@@ -196,22 +256,7 @@ def gen_p5_free(n: int, seed: int, method: str = "union-join") -> Graph:
     rng = random.Random(f"p5free:{method}:{n}:{seed}")
     g = Graph(n, _random_cograph_edges(n, rng))
     if method == "perturb-filter":
-        edges = {tuple(sorted(e)) for e in g.edges()}
-        for _ in range(3 * n):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            e = (min(u, v), max(u, v))
-            trial = set(edges)
-            if e in trial:
-                trial.remove(e)
-            else:
-                trial.add(e)
-            candidate = Graph(n, sorted(trial))
-            if find_induced_path(candidate, 5) is None:
-                edges = trial
-                g = candidate
+        g = _flip_walk(g, rng, 3 * n, [("path", 5)])
     w = find_induced_path(g, 5)
     if w is not None:
         raise RuntimeError("generator produced a graph with an induced P5")
@@ -227,10 +272,15 @@ def gen_class_free(
 ) -> Graph:
     """Rejection-and-perturbation sampler for a finite forbidden-pattern class.
 
-    Starts from a random certified seed graph (edgeless, clique unions, or a
-    cograph), then applies random edge flips, keeping each flip only if all
-    forbidden patterns stay absent.  Every returned graph is re-certified.
-    Raises when no admissible seed graph is found within the budget.
+    Starts from a random seed graph (edgeless, clique unions, or a cograph)
+    that a whole-graph search certifies free of every forbidden pattern,
+    then applies random edge flips.  A flip of uv is kept only if no
+    forbidden pattern has an induced copy through both u and v: every copy
+    a flip can create contains both, so the graph stays pattern-free flip
+    by flip (substars, which have no such search, are searched in the
+    whole graph).  Every returned graph is re-certified by the whole-graph
+    search.  Raises when no admissible seed graph is found within the
+    budget.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -256,24 +306,8 @@ def gen_class_free(
             break
     if base is None:
         raise RuntimeError("generation budget exhausted: no admissible seed graph")
-    edges = {tuple(sorted(e)) for e in base.edges()}
-    g = base
     budget = flip_budget if flip_budget is not None else 2 * n
-    for _ in range(budget):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        e = (min(u, v), max(u, v))
-        trial = set(edges)
-        if e in trial:
-            trial.remove(e)
-        else:
-            trial.add(e)
-        candidate = Graph(n, sorted(trial))
-        if all(pattern_absent(candidate, p) for p in forbidden):
-            edges = trial
-            g = candidate
+    g = _flip_walk(base, rng, budget, forbidden)
     for p in forbidden:
         if not pattern_absent(g, p):
             raise RuntimeError(f"generator produced a graph containing {p}")

@@ -2,7 +2,8 @@
 
 Maximum independent set (branch and bound over bitmasks, with component
 splitting), bipartite maximum matching with a Konig vertex-cover certificate,
-and brute-force induced pattern detection.  Everything here is exact and
+and brute-force induced pattern detection, in the whole graph or through a
+given pair of vertices.  Everything here is exact and
 deterministic: exactness is mandatory because callers compare independence
 numbers against sharp thresholds, and determinism makes every downstream
 tie-break reproducible.
@@ -17,7 +18,7 @@ Neither the bound nor component splitting changes that leaf (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import Graph, VertexSet, is_independent, vertex_set
 
@@ -359,6 +360,34 @@ def bipartite_max_matching(g: Graph, x: Iterable[int], y: Iterable[int]) -> Matc
 # -- induced pattern searches -----------------------------------------------
 
 
+def _grow_path(
+    bits: Sequence[int],
+    path: list[int],
+    banned: int,
+    left: int,
+    done: Callable[[list[int]], bool],
+) -> bool:
+    """Extend the induced path ``path`` at its last vertex by ``left`` vertices.
+
+    ``banned`` holds the path's vertices and the neighbors of all of them but
+    the last.  Extensions are tried depth first in ascending order; the
+    search stops at the first full path for which ``done(path)`` holds and
+    leaves that path in ``path``.
+    """
+    if not left:
+        return done(path)
+    last = path[-1]
+    options = bits[last] & ~banned
+    while options:
+        low = options & -options
+        options ^= low
+        path.append(low.bit_length() - 1)
+        if _grow_path(bits, path, banned | low | bits[last], left - 1, done):
+            return True
+        path.pop()
+    return False
+
+
 def find_induced_path(g: Graph, t: int) -> Optional[Witness]:
     """First induced path on ``t`` vertices in a deterministic DFS order.
 
@@ -371,54 +400,99 @@ def find_induced_path(g: Graph, t: int) -> Optional[Witness]:
     if t == 1:
         return path_witness((0,)) if g.n >= 1 else None
     bits = g.adjacency_bits()
-
-    path: list[int] = []
-
-    def extend(last: int, banned: int) -> Optional[tuple[int, ...]]:
-        # banned: path vertices plus neighbors of all path vertices but last
-        if len(path) == t:
-            if path[0] < path[-1]:
-                return tuple(path)
-            return None
-        options = bits[last] & ~banned
-        while options:
-            v = (options & -options).bit_length() - 1
-            options &= options - 1
-            path.append(v)
-            got = extend(v, banned | (1 << v) | bits[last])
-            if got is not None:
-                return got
-            path.pop()
-        return None
-
     for start in range(g.n):
-        path[:] = [start]
-        got = extend(start, 1 << start)
-        if got is not None:
-            return path_witness(got)
+        path = [start]
+        if _grow_path(bits, path, 1 << start, t - 1, lambda p: p[0] < p[-1]):
+            return path_witness(path)
     return None
 
 
-def _independent_sets_of_size(g: Graph, size: int, within: Sequence[int]):
-    """Yield independent ``size``-subsets of ``within`` in lexicographic order."""
-    bits = g.adjacency_bits()
-    pool = sorted(within)
-    chosen: list[int] = []
+def path_through(bits: Sequence[int], t: int, u: int, v: int) -> Optional[Witness]:
+    """An induced path on ``t`` vertices containing both ``u`` and ``v``, or None.
 
-    def rec(start: int):
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        need = size - len(chosen)
-        for i in range(start, len(pool) - need + 1):
-            v = pool[i]
-            if any(bits[u] >> v & 1 for u in chosen):
-                continue
-            chosen.append(v)
-            yield from rec(i + 1)
-            chosen.pop()
+    ``bits`` are adjacency masks.  A first arm of k <= (t - 1) / 2 vertices
+    is grown from ``u``, then the path is grown from ``u`` the other way to
+    its full length.  Exhaustive: returns None only if no such path exists.
+    """
+    if t < 1:
+        raise ValueError("path length must be >= 1")
+    path: list[int] = []
 
-    yield from rec(0)
+    def second_arm(arm: list[int]) -> bool:
+        # arm runs from u outward; the rest must avoid its vertices' neighbors
+        path[:] = arm[::-1]
+        banned = 1 << u
+        for x in arm[1:]:
+            banned |= 1 << x | bits[x]
+        return _grow_path(bits, path, banned, t - len(arm), lambda p: u in p and v in p)
+
+    for k in range((t - 1) // 2 + 1):
+        if _grow_path(bits, [u], 1 << u, k, second_arm):
+            return path_witness(path)
+    return None
+
+
+def _members(mask: int) -> VertexSet:
+    """The vertices of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def _independent_subsets(bits: Sequence[int], k: int, pool: int, chosen: int = 0):
+    """Yield ``chosen`` plus each independent ``k``-subset of ``pool``, as masks.
+
+    Subsets come in lexicographic order of their sorted members: the lowest
+    candidate is chosen first, and a choice drops its neighbors from the rest.
+    """
+    if k == 0:
+        yield chosen
+    elif k == 1:
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            yield chosen | low
+    else:
+        while pool.bit_count() >= k:
+            low = pool & -pool
+            pool ^= low
+            rest = pool & ~bits[low.bit_length() - 1]
+            yield from _independent_subsets(bits, k - 1, rest, chosen | low)
+
+
+def _extend_biclique(
+    bits: Sequence[int], a: int, b: int, side_a: int, side_b: int
+) -> Optional[Witness]:
+    """First induced K_{a,b} whose sides contain the masks ``side_a``, ``side_b``.
+
+    The given sides must be independent and complete to each other.  The
+    a-side is completed lexicographically; the b-side is the first
+    independent completion within the a-side's common neighborhood.
+    """
+    full = (1 << len(bits)) - 1
+    grow_a, common_a, rim_b = full & ~side_a, full, side_b
+    for w in _members(side_a):
+        grow_a &= ~bits[w]
+        common_a &= bits[w]
+    for w in _members(side_b):
+        grow_a &= bits[w]
+        rim_b |= bits[w]
+    need_b = b - side_b.bit_count()
+    for more_a in _independent_subsets(bits, a - side_a.bit_count(), grow_a):
+        grow_b = common_a & ~rim_b
+        m = more_a
+        while m:
+            low = m & -m
+            m ^= low
+            grow_b &= bits[low.bit_length() - 1]
+        if grow_b.bit_count() >= need_b:
+            whole_b = next(_independent_subsets(bits, need_b, grow_b, side_b), None)
+            if whole_b is not None:
+                return Witness(BICLIQUE, (_members(side_a | more_a), _members(whole_b)))
+    return None
 
 
 def find_induced_complete_bipartite(g: Graph, a: int, b: int) -> Optional[Witness]:
@@ -429,17 +503,28 @@ def find_induced_complete_bipartite(g: Graph, a: int, b: int) -> Optional[Witnes
     """
     if a < 1 or b < 1:
         raise ValueError("side sizes must be >= 1")
-    full = (1 << g.n) - 1
-    bits = g.adjacency_bits()
-    for side_a in _independent_sets_of_size(g, a, range(g.n)):
-        common = full
-        for v in side_a:
-            common &= bits[v]
-        if bin(common).count("1") < b:
-            continue
-        cands = [v for v in range(g.n) if common >> v & 1]
-        for side_b in _independent_sets_of_size(g, b, cands):
-            return Witness(BICLIQUE, (tuple(side_a), tuple(side_b)))
+    return _extend_biclique(g.adjacency_bits(), a, b, 0, 0)
+
+
+def biclique_through(
+    bits: Sequence[int], a: int, b: int, u: int, v: int
+) -> Optional[Witness]:
+    """An induced K_{a,b} containing both ``u`` and ``v``, or None.
+
+    ``bits`` are adjacency masks.  Adjacent u and v lie on opposite sides,
+    nonadjacent ones on the same side; each placement is tried in turn.
+    """
+    if a < 1 or b < 1:
+        raise ValueError("side sizes must be >= 1")
+    if bits[u] >> v & 1:
+        placements = ((1 << u, 1 << v), (1 << v, 1 << u))
+    else:
+        placements = ((1 << u | 1 << v, 0), (0, 1 << u | 1 << v))
+    for side_a, side_b in placements:
+        if side_a.bit_count() <= a and side_b.bit_count() <= b:
+            got = _extend_biclique(bits, a, b, side_a, side_b)
+            if got is not None:
+                return got
     return None
 
 
@@ -462,39 +547,33 @@ def find_induced_subdivided_star(
     bits = g.adjacency_bits()
     for center in range(g.n):
         cn = bits[center]
-        for mids in _independent_sets_of_size(g, d, g.neighbors(center)):
-            mid_mask = sum(1 << m for m in mids)
+        for mid_mask in _independent_subsets(bits, d, cn):
+            mids = _members(mid_mask)
             # leaf candidates per ray: private neighbors of each mid
-            cand: list[list[int]] = []
-            ok = True
-            for i, m in enumerate(mids):
+            pools = []
+            for m in mids:
                 others = 0
-                for j, m2 in enumerate(mids):
-                    if j != i:
+                for m2 in mids:
+                    if m2 != m:
                         others |= bits[m2]
-                pool = bits[m] & ~cn & ~others & ~(1 << center) & ~mid_mask
-                lst = [v for v in range(g.n) if pool >> v & 1]
-                if not lst:
-                    ok = False
-                    break
-                cand.append(lst)
-            if not ok:
+                pools.append(bits[m] & ~cn & ~others & ~(1 << center) & ~mid_mask)
+            if not all(pools):
                 continue
             leaves: list[int] = []
 
-            def pick(i: int) -> bool:
+            def pick(i: int, banned: int) -> bool:
                 if i == d:
                     return True
-                for v in cand[i]:
-                    if v in leaves or any(bits[v] >> u & 1 for u in leaves):
-                        continue
-                    leaves.append(v)
-                    if pick(i + 1):
+                options = pools[i] & ~banned
+                while options:
+                    low = options & -options
+                    options ^= low
+                    leaves.append(low.bit_length() - 1)
+                    if pick(i + 1, banned | low | bits[leaves[-1]]):
                         return True
                     leaves.pop()
                 return False
 
-            if pick(0):
-                rays = tuple((m, l) for m, l in zip(mids, leaves))
-                return center, rays
+            if pick(0, 0):
+                return center, tuple(zip(mids, leaves))
     return None

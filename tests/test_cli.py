@@ -151,3 +151,10 @@ def test_find_cmd_takes_every_parsed_pattern(tmp_path, capsys):
     assert "unknown pattern 'wall:2'" in capsys.readouterr().err
     assert main(["find", str(c4), "--pattern", "path"]) == 1
     assert "missing a size" in capsys.readouterr().err
+
+
+def test_find_cmd_rejects_a_non_integer_size(tmp_path, capsys):
+    c4 = tmp_path / "c4.gr"
+    c4.write_text(serialize_graph(cycle(4)))
+    assert main(["find", str(c4), "--pattern", "path:x"]) == 1
+    assert "pattern 'path:x' has a non-integer size" in capsys.readouterr().err

@@ -209,3 +209,27 @@ def test_report_csv_round_trip(tmp_path):
     assert len(text) == 3
     rows = summarize(recs)
     assert all(worst <= bound for _, worst, bound in rows)
+
+
+def test_pattern_sizes_are_checked():
+    with pytest.raises(ValueError, match="^pattern 'path:x' has a non-integer size$"):
+        parse_pattern("path:x")
+    with pytest.raises(ValueError, match="non-integer size"):
+        parse_pattern("biclique:2:y")
+    # the seed graph is certified by the whole-graph search, which rejects
+    # out-of-range sizes before any flip is searched through its pair
+    with pytest.raises(ValueError, match="path length"):
+        gen_class_free(5, 1, [("path", 0)])
+    with pytest.raises(ValueError, match="side sizes"):
+        gen_class_free(5, 1, [("biclique", 0, 2)])
+
+
+def test_is_chordal_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(71)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        g = random_graph(n, rng.choice([0.2, 0.4, 0.6, 0.8]), rng)
+        gx = nx.empty_graph(n)
+        gx.add_edges_from(g.edges())
+        assert is_chordal(g) == nx.is_chordal(gx)

@@ -1,10 +1,12 @@
 import random
 from itertools import combinations
+from typing import Optional, Sequence
 
 import pytest
 
 from treealpha.graph import Graph, is_independent
 from treealpha.oracles import (
+    BICLIQUE,
     Witness,
     _mis_mask,
     alpha_of_subset,
@@ -384,3 +386,135 @@ def test_biclique_absence_means_no_pair_is_complete():
                     assert not all(
                         g.adjacent(u, v) for u in a_side for v in b_side
                     )
+
+
+# -- witness pins: the lexicographic enumerator the searches used before ----------
+
+
+def _seed_independent_sets_of_size(g: Graph, size: int, within: Sequence[int]):
+    """Yield independent ``size``-subsets of ``within`` in lexicographic order."""
+    bits = g.adjacency_bits()
+    pool = sorted(within)
+    chosen: list[int] = []
+
+    def rec(start: int):
+        if len(chosen) == size:
+            yield tuple(chosen)
+            return
+        need = size - len(chosen)
+        for i in range(start, len(pool) - need + 1):
+            v = pool[i]
+            if any(bits[u] >> v & 1 for u in chosen):
+                continue
+            chosen.append(v)
+            yield from rec(i + 1)
+            chosen.pop()
+
+    yield from rec(0)
+
+
+def _seed_find_induced_complete_bipartite(g: Graph, a: int, b: int) -> Optional[Witness]:
+    """First induced K_{a,b}: independent sides complete to each other.
+
+    The ``a``-side is enumerated lexicographically; the ``b``-side is the
+    first independent b-subset of the common neighborhood.
+    """
+    if a < 1 or b < 1:
+        raise ValueError("side sizes must be >= 1")
+    full = (1 << g.n) - 1
+    bits = g.adjacency_bits()
+    for side_a in _seed_independent_sets_of_size(g, a, range(g.n)):
+        common = full
+        for v in side_a:
+            common &= bits[v]
+        if bin(common).count("1") < b:
+            continue
+        cands = [v for v in range(g.n) if common >> v & 1]
+        for side_b in _seed_independent_sets_of_size(g, b, cands):
+            return Witness(BICLIQUE, (tuple(side_a), tuple(side_b)))
+    return None
+
+
+def _seed_find_induced_subdivided_star(
+    g: Graph, d: int
+) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
+    """First induced once-subdivided d-star: center, plus (mid, leaf) rays.
+
+    Each mid is adjacent to the center and its own leaf only; mids, leaves
+    and the center are otherwise pairwise nonadjacent.  Returns None if no
+    such induced subgraph exists.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    bits = g.adjacency_bits()
+    for center in range(g.n):
+        cn = bits[center]
+        for mids in _seed_independent_sets_of_size(g, d, g.neighbors(center)):
+            mid_mask = sum(1 << m for m in mids)
+            # leaf candidates per ray: private neighbors of each mid
+            cand: list[list[int]] = []
+            ok = True
+            for i, m in enumerate(mids):
+                others = 0
+                for j, m2 in enumerate(mids):
+                    if j != i:
+                        others |= bits[m2]
+                pool = bits[m] & ~cn & ~others & ~(1 << center) & ~mid_mask
+                lst = [v for v in range(g.n) if pool >> v & 1]
+                if not lst:
+                    ok = False
+                    break
+                cand.append(lst)
+            if not ok:
+                continue
+            leaves: list[int] = []
+
+            def pick(i: int) -> bool:
+                if i == d:
+                    return True
+                for v in cand[i]:
+                    if v in leaves or any(bits[v] >> u & 1 for u in leaves):
+                        continue
+                    leaves.append(v)
+                    if pick(i + 1):
+                        return True
+                    leaves.pop()
+                return False
+
+            if pick(0):
+                rays = tuple((m, l) for m, l in zip(mids, leaves))
+                return center, rays
+    return None
+
+
+def test_biclique_and_substar_searches_return_the_reference_witnesses():
+    rng = random.Random(37)
+    sizes = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+    for _ in range(250):
+        n = rng.randint(0, 14)
+        g = random_graph(n, rng.choice([0.1, 0.25, 0.45, 0.65, 0.85]), rng)
+        for a, b in sizes:
+            want = _seed_find_induced_complete_bipartite(g, a, b)
+            assert find_induced_complete_bipartite(g, a, b) == want
+        for d in (1, 2, 3):
+            assert find_induced_subdivided_star(g, d) == _seed_find_induced_subdivided_star(g, d)
+
+
+# -- differential checks against networkx -------------------------------------------
+
+
+def test_pattern_searches_match_networkx_induced_isomorphism():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    p5, c4 = nx.path_graph(5), nx.cycle_graph(4)  # C4 is K_{2,2}
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(1, 11)
+        g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.7]), rng)
+        gx = nx.empty_graph(n)
+        gx.add_edges_from(g.edges())
+        has_p5 = GraphMatcher(gx, p5).subgraph_is_isomorphic()
+        has_c4 = GraphMatcher(gx, c4).subgraph_is_isomorphic()
+        assert (find_induced_path(g, 5) is not None) == has_p5
+        assert (find_induced_complete_bipartite(g, 2, 2) is not None) == has_c4
