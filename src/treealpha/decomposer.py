@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .graph import Graph, VertexSet, components, vertex_set
 from .oracles import (
@@ -414,38 +414,6 @@ def select_pair(
 # -- the two surgeries --------------------------------------------------------
 
 
-def _grow_to_anchors(
-    td: TreeDecomposition, nodes: tuple[int, ...], anchors: tuple[int, ...]
-) -> set[int]:
-    """Minimal connected node set containing ``nodes`` and all anchors."""
-    target = set(nodes)
-    for a in anchors:
-        if a in target:
-            continue
-        parent = {a: -1}
-        frontier = [a]
-        hit = None
-        while frontier and hit is None:
-            nxt: list[int] = []
-            for t in frontier:
-                for s in td.node_neighbors(t):
-                    if s not in parent:
-                        parent[s] = t
-                        if s in target:
-                            hit = s
-                            break
-                        nxt.append(s)
-                if hit is not None:
-                    break
-            frontier = nxt
-        if hit is None:
-            raise DecompositionError("anchor unreachable in node tree")
-        while hit != -1:
-            target.add(hit)
-            hit = parent[hit]
-    return target
-
-
 def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     """Restructure so x and y share a bag, when no bad pair exists.
 
@@ -461,7 +429,11 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     k = td.node_count
     master: list[set[int]] = [set(bag) & ctx.m for bag in td.bags]
     for u in sorted(ctx.u_all):
-        for t in _grow_to_anchors(td, td.subtree(u), (ctx.t_x, ctx.t_y)):
+        span = set(td.subtree(u))
+        for a in (ctx.t_x, ctx.t_y):
+            if a not in span:
+                span.update(td.path_between((a,), span))
+        for t in span:
             master[t].add(u)
     for t in ctx.path_xy:
         master[t].add(ctx.x)
@@ -541,7 +513,6 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     for t, bag in enumerate(final):
         for v in bag:
             final_subtree.setdefault(v, set()).add(t)
-    depth_from_tx = _bfs_depths(td, ctx.t_x)
     anchors: list[int] = []
     for comp in ctx.comps:
         inside = set(comp)
@@ -552,7 +523,7 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
             if all(v in final[t] for v in key)
         ]
         if fit:
-            t_c = min(fit, key=lambda t: (depth_from_tx[t], t))
+            t_c = min(fit, key=lambda t: (len(td.tree_path(ctx.t_x, t)), t))
         else:
             t_c = _split_anchor(td, final_subtree, key)
         c_prime = inside & pulled
@@ -592,43 +563,20 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     return out
 
 
-def _rooted_masks(td: TreeDecomposition) -> tuple[list[int], list[int]]:
-    """Parents (-1 at the root) and descendant node masks, rooted at node 0.
+def _rooted_masks(td: TreeDecomposition) -> tuple[Sequence[int], list[int]]:
+    """Parents (-1 at the root) and descendant node masks of ``td.rooted``.
 
-    One traversal records the parents and the visit order; each node's mask
-    is then ORed into its parent's in reverse visit order.
+    Each node's mask is ORed into its parent's in reverse visit order.
     """
-    parent = [-2] * td.node_count
-    parent[0] = -1
-    order = [0]
-    for t in order:
-        for s in td.node_neighbors(t):
-            if parent[s] == -2:
-                parent[s] = t
-                order.append(s)
+    parent, _, order = td.rooted
     below = [1 << t for t in range(td.node_count)]
     for t in reversed(order[1:]):
         below[parent[t]] |= below[t]
     return parent, below
 
 
-def _bfs_depths(td: TreeDecomposition, start: int) -> list[int]:
-    depth = [-1] * td.node_count
-    depth[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in td.node_neighbors(t):
-                if depth[s] < 0:
-                    depth[s] = depth[t] + 1
-                    nxt.append(s)
-        frontier = nxt
-    return depth
-
-
 def _forced_nodes(
-    td: TreeDecomposition, parent: list[int], below: list[int], marks: list[int]
+    td: TreeDecomposition, parent: Sequence[int], below: list[int], marks: list[int]
 ) -> set[int]:
     """Nodes of every tree edge separating two attachment subtrees entirely.
 
@@ -658,38 +606,9 @@ def _split_anchor(
     for i, a in enumerate(key):
         for b in key[i + 1 :]:
             sa, sb = final_subtree[a], final_subtree[b]
-            if sa & sb:
-                continue
-            path = _path_between_node_sets(td, sa, sb)
-            return min(path)
+            if not sa & sb:
+                return min(td.path_between(sa, sb))
     raise DecompositionError("attachments pairwise meet yet fit no bag")
-
-
-def _path_between_node_sets(
-    td: TreeDecomposition, src: set[int], dst: set[int]
-) -> list[int]:
-    parent = {t: -1 for t in src}
-    frontier = sorted(src)
-    goal = None
-    while frontier and goal is None:
-        nxt: list[int] = []
-        for t in frontier:
-            for s in td.node_neighbors(t):
-                if s not in parent:
-                    parent[s] = t
-                    if s in dst:
-                        goal = s
-                        break
-                    nxt.append(s)
-            if goal is not None:
-                break
-        frontier = nxt
-    if goal is None:
-        raise DecompositionError("node sets unreachable")
-    path = [goal]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return path
 
 
 def _check_surgery_output(

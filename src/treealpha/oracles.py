@@ -31,8 +31,6 @@ DK2 = "dk2"
 MATCHING = "matching"
 SUBSTAR = "substar"
 
-_KINDS = (PATH, BICLIQUE, DK2, MATCHING, SUBSTAR)
-
 
 @dataclass(frozen=True)
 class Witness:

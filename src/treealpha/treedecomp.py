@@ -8,10 +8,23 @@ vertices per node.  Instances are immutable; the restructuring operations in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, VertexSet, vertex_set
 from .oracles import alpha_of_subset
+
+
+class RootedIndex(NamedTuple):
+    """The node tree rooted at its last node, in breadth-first order.
+
+    ``parent`` is -1 at the root and ``depth`` counts the edges to the root.
+    On a disconnected node graph the nodes the search never reaches keep
+    parent -1 and depth -1 and are missing from ``order``.
+    """
+
+    parent: tuple[int, ...]
+    depth: tuple[int, ...]
+    order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -19,13 +32,22 @@ class TreeDecomposition:
     """A tree plus one bag per node.
 
     ``edges`` are tree edges between node ids ``0 .. len(bags)-1``.  The
-    subtree index (vertex -> nodes whose bag holds it) is derived once.
+    subtree index (vertex -> nodes whose bag holds it) is derived once.  The
+    rooted index (:class:`RootedIndex`, rooted at the last node) is built on
+    first use and cached; every tree query reads it.  The path methods assume
+    that the node graph is a tree and that each T(v) is connected, which
+    :func:`validate` checks; a node the root does not reach raises ValueError.
     """
 
     edges: tuple[tuple[int, int], ...]
     bags: tuple[VertexSet, ...]
     _node_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _subtrees: dict = field(init=False, repr=False, compare=False)
+    # A declared field, not functools.cached_property: on CPython 3.11 a
+    # write through the instance __dict__ slows every later attribute read.
+    _rooted: Optional[RootedIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         k = len(self.bags)
@@ -53,6 +75,25 @@ class TreeDecomposition:
     def node_neighbors(self, t: int) -> tuple[int, ...]:
         return self._node_adj[t]
 
+    @property
+    def rooted(self) -> RootedIndex:
+        """The rooted index, built on the first call."""
+        if self._rooted is not None:
+            return self._rooted
+        k = len(self.bags)
+        parent, depth = [-1] * k, [-1] * k
+        order = [k - 1] if k else []
+        if k:
+            depth[k - 1] = 0
+        for t in order:
+            for s in self._node_adj[t]:
+                if depth[s] < 0:
+                    parent[s], depth[s] = t, depth[t] + 1
+                    order.append(s)
+        index = RootedIndex(tuple(parent), tuple(depth), tuple(order))
+        object.__setattr__(self, "_rooted", index)
+        return index
+
     def subtree(self, v: int) -> tuple[int, ...]:
         """Nodes whose bag contains ``v`` (empty tuple if none)."""
         return self._subtrees.get(v, ())
@@ -62,57 +103,44 @@ class TreeDecomposition:
 
     def tree_path(self, a: int, b: int) -> tuple[int, ...]:
         """The unique path of nodes from ``a`` to ``b``."""
-        if a == b:
-            return (a,)
-        prev = {a: -1}
-        frontier = [a]
-        while frontier:
-            nxt: list[int] = []
-            for t in frontier:
-                for s in self.node_neighbors(t):
-                    if s not in prev:
-                        prev[s] = t
-                        nxt.append(s)
-            if b in prev:
-                break
-            frontier = nxt
-        if b not in prev:
-            raise ValueError("nodes in different tree components")
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        return tuple(reversed(path))
+        parent, depth, _ = self.rooted
+        if depth[a] < 0 or depth[b] < 0:
+            raise ValueError("node graph is disconnected")
+        up, down = [a], [b]
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        return tuple(up + down[-2::-1])
+
+    def path_between(
+        self, src: Collection[int], dst: Collection[int]
+    ) -> tuple[int, ...]:
+        """The shortest node path from ``src`` to ``dst``.
+
+        Both must be nonempty, disjoint and connected.  In a tree every path
+        from a node of ``src`` to a node of ``dst`` runs through the shortest
+        one, so it is any such path cut after its last node in ``src`` and
+        before its first node in ``dst``.
+        """
+        path = self.tree_path(next(iter(src)), next(iter(dst)))
+        i, j = 0, len(path) - 1
+        while path[i + 1] in src:
+            i += 1
+        while path[j - 1] in dst:
+            j -= 1
+        return path[i : j + 1]
 
     def path_between_subtrees(self, u: int, v: int) -> tuple[int, ...]:
         """Shortest node path from T(u) to T(v); a single node if they meet."""
-        src, dst = self.subtree(u), set(self.subtree(v))
+        src, dst = set(self.subtree(u)), set(self.subtree(v))
         if not src or not dst:
             raise ValueError("empty subtree")
-        hit = sorted(set(src) & dst)
+        hit = src & dst
         if hit:
-            return (hit[0],)
-        prev = {t: -1 for t in src}
-        frontier = sorted(src)
-        goal = None
-        while frontier and goal is None:
-            nxt: list[int] = []
-            for t in frontier:
-                for s in self.node_neighbors(t):
-                    if s not in prev:
-                        prev[s] = t
-                        if s in dst:
-                            goal = s
-                            break
-                        nxt.append(s)
-                if goal is not None:
-                    break
-            frontier = nxt
-        if goal is None:
-            raise ValueError("subtrees in different tree components")
-        path = [goal]
-        while prev[path[-1]] != -1:
-            path.append(prev[path[-1]])
-        return tuple(reversed(path))
+            return (min(hit),)
+        return self.path_between(src, dst)
 
     def relabel_vertices(self, mapping: Sequence[int]) -> "TreeDecomposition":
         """Rename bag contents: vertex ``i`` becomes ``mapping[i]``."""
@@ -149,15 +177,8 @@ def validate(
         return out
     if len(td.edges) != k - 1:
         out.append(f"node graph has {len(td.edges)} edges, expected {k - 1}")
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        t = frontier.pop()
-        for s in td.node_neighbors(t):
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    if len(seen) != k:
+    parent, _, order = td.rooted
+    if len(order) != k:
         out.append("node graph is disconnected")
     if out:
         return out
@@ -171,16 +192,8 @@ def validate(
         if not nodes:
             out.append(f"vertex {v} appears in no bag")
             continue
-        reach = {nodes[0]}
-        frontier = [nodes[0]]
         nodeset = set(nodes)
-        while frontier:
-            t = frontier.pop()
-            for s in td.node_neighbors(t):
-                if s in nodeset and s not in reach:
-                    reach.add(s)
-                    frontier.append(s)
-        if len(reach) != len(nodes):
+        if sum(parent[t] not in nodeset for t in nodes) != 1:
             out.append(f"vertex {v} has a disconnected bag set")
     for u in scope:
         for v in g.neighbors(u):
@@ -230,17 +243,7 @@ def closed_neighborhood_bag(g: Graph, td: TreeDecomposition) -> tuple[int, int]:
     """
     if g.n == 0 or td.node_count == 0:
         raise ValueError("graph and decomposition must be non-null")
-    root = td.node_count - 1
-    depth = {root: 0}
-    order = [root]
-    frontier = [root]
-    while frontier:
-        t = frontier.pop()
-        for s in td.node_neighbors(t):
-            if s not in depth:
-                depth[s] = depth[t] + 1
-                order.append(s)
-                frontier.append(s)
+    depth = td.rooted.depth
     best_v, best_home, best_depth = -1, -1, -1
     for v in range(g.n):
         nodes = td.subtree(v)
