@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .graph import Graph, VertexSet, components, vertex_set
+from .graph import Graph, VertexSet, components, members, vertex_set
 from .oracles import (
     BICLIQUE,
     ForbiddenStructureFound,
@@ -47,6 +47,7 @@ from .treedecomp import (
     cobagged_pairs,
     compress,
     find_bag_containing_set,
+    node_masks,
     single_bag_decomposition,
     subtree_distance,
     td_alpha,
@@ -203,7 +204,7 @@ def build_pair_context(
     ctx.level, nr = _level(g, r, td)
     if x not in nr or y not in nr or x == y:
         raise ValueError("x and y must be distinct neighbors of the root")
-    if set(td.subtree(x)) & set(td.subtree(y)):
+    if td.node_mask(x) & td.node_mask(y):
         raise ValueError("pair is already co-bagged")
     if g.adjacent(x, y):
         raise DecompositionError("co-bag pair is adjacent but shares no bag")
@@ -354,9 +355,8 @@ def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
             g, biclique_witness(side_a, side_b),
             "isolated-attachment vertex is not movable",
         )
-    bag_ty = set(ctx.td.bags[ctx.t_y])
     for u_y in sorted(ctx.uy):
-        if u_y not in ctx.movable and u_y not in bag_ty:
+        if u_y not in ctx.movable and not ctx.td.node_mask(u_y) >> ctx.t_y & 1:
             raise DecompositionError(
                 f"y-side attachment {u_y} neither movable nor anchored; "
                 "the pair was not selected at maximum subtree distance"
@@ -374,11 +374,11 @@ def enumerate_uncobagged_pairs(
     Only neighbors in the level count: those ``td`` holds.
     """
     nr = _level(g, r, td)[1]
+    held = [(v, td.node_mask(v)) for v in nr]
     out: list[tuple[int, int]] = []
-    for x in nr:
-        sx = set(td.subtree(x))
-        for y in nr:
-            if x == y or sx & set(td.subtree(y)):
+    for x, mx in held:
+        for y, my in held:
+            if x == y or mx & my:
                 continue
             if g.adjacent(x, y):
                 raise DecompositionError(
@@ -429,10 +429,10 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     k = td.node_count
     master: list[set[int]] = [set(bag) & ctx.m for bag in td.bags]
     for u in sorted(ctx.u_all):
-        span = set(td.subtree(u))
+        span = td.subtree(u)
         for a in (ctx.t_x, ctx.t_y):
             if a not in span:
-                span.update(td.path_between((a,), span))
+                span += td.path_between((a,), span)
         for t in span:
             master[t].add(u)
     for t in ctx.path_xy:
@@ -473,23 +473,17 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     r = ctx.root
 
     # intermediate master bags
-    inter: list[set[int]] = [set(bag) & ctx.m for bag in td.bags]
-    for t in range(k):
-        inter[t] |= ctx.movable
+    inter = [(set(bag) & ctx.m) | ctx.movable for bag in td.bags]
     ride_along = {ctx.x} | (ctx.uy - ctx.movable)
     for t in ctx.path_xy:
         inter[t] |= ride_along
 
     # pull split outside vertices into the master
-    subtree_of: dict[int, int] = {}
-    for t, bag in enumerate(inter):
-        for v in bag:
-            subtree_of[v] = subtree_of.get(v, 0) | (1 << t)
+    subtree_of = node_masks(inter)
     parent, below = _rooted_masks(td)
     final: list[set[int]] = [set(b) for b in inter]
-    outside_sorted = sorted(ctx.level - ctx.m - {r})
     pulled: set[int] = set()
-    for c in outside_sorted:
+    for c in sorted(ctx.level - ctx.m - {r}):
         marks = [subtree_of[a] for a in g.neighbors(c) if a in ctx.m]
         if not marks:
             continue
@@ -503,32 +497,24 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
             final[t].add(c)
         pulled.add(c)
 
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(ctx.comps):
-        for v in comp:
-            comp_of[v] = i
+    comp_of = {v: i for i, comp in enumerate(ctx.comps) for v in comp}
 
     # anchor node per original outside component
-    final_subtree: dict[int, set[int]] = {}
-    for t, bag in enumerate(final):
-        for v in bag:
-            final_subtree.setdefault(v, set()).add(t)
+    final_masks = node_masks(final)
     anchors: list[int] = []
     for comp in ctx.comps:
         inside = set(comp)
         key = sorted(_rim(g, comp, ctx.level) - ctx.uxy)
-        fit = [
-            t
-            for t in range(k)
-            if all(v in final[t] for v in key)
-        ]
+        fit = (1 << k) - 1
+        for v in key:
+            fit &= final_masks[v]
         if fit:
-            t_c = min(fit, key=lambda t: (len(td.tree_path(ctx.t_x, t)), t))
+            t_c = min(members(fit), key=lambda t: (len(td.tree_path(ctx.t_x, t)), t))
         else:
-            t_c = _split_anchor(td, final_subtree, key)
+            t_c = _split_anchor(td, final_masks, key)
         c_prime = inside & pulled
         c_second = inside - pulled
-        missing = [v for v in sorted(c_prime) if t_c not in final_subtree[v]]
+        missing = [v for v in sorted(c_prime) if not final_masks[v] >> t_c & 1]
         if missing:
             _postcondition_failure(
                 g, ell, f"pulled vertices {missing} missed their anchor bag"
@@ -600,14 +586,14 @@ def _forced_nodes(
 
 
 def _split_anchor(
-    td: TreeDecomposition, final_subtree: dict[int, set[int]], key: list[int]
+    td: TreeDecomposition, masks: dict[int, int], key: list[int]
 ) -> int:
     """Anchor for a component whose attachments fit no single master bag."""
     for i, a in enumerate(key):
         for b in key[i + 1 :]:
-            sa, sb = final_subtree[a], final_subtree[b]
+            sa, sb = masks[a], masks[b]
             if not sa & sb:
-                return min(td.path_between(sa, sb))
+                return min(td.path_between(set(members(sa)), set(members(sb))))
     raise DecompositionError("attachments pairwise meet yet fit no bag")
 
 
@@ -620,7 +606,7 @@ def _check_surgery_output(
         _postcondition_failure(g, ell, f"{label} broke validity: {problems[:3]}")
     if td_alpha(g, out) > 4 * ell:
         _postcondition_failure(g, ell, f"{label} exceeded the 4*ell bag bound")
-    if not set(out.subtree(ctx.x)) & set(out.subtree(ctx.y)):
+    if not out.node_mask(ctx.x) & out.node_mask(ctx.y):
         raise DecompositionError(f"{label} failed to co-bag the chosen pair")
 
 
@@ -636,20 +622,21 @@ def saturate_root(
 ) -> TreeDecomposition:
     """Restructure until every pair of neighbors of r in its level shares a bag.
 
-    ``td`` decomposes the level of r minus r.  Each round merges the selected pair and strictly grows the set of
-    co-bagged neighbor pairs, so at most (deg r choose 2) rounds run.  The
-    decomposition is compressed between rounds; compression never drops a
-    co-bagged pair.
+    ``td`` decomposes the level of r minus r.  Each round merges the
+    selected pair and strictly grows the set of co-bagged neighbor pairs, so
+    at most (deg r choose 2) rounds run.  The decomposition is compressed
+    between rounds; compression never drops a co-bagged pair.  A round's
+    co-bagged pairs after compression, checked equal to those before it, are
+    the next round's starting set.
     """
     nr = _level(g, r, td)[1]
     entry = {"root": r, "degree": len(nr), "iterations": 0, "pairs": []}
     limit = comb(len(nr), 2)
-    while True:
-        sel = select_pair(g, r, td, ell)
-        if sel is None:
-            break
+    before = None
+    while (sel := select_pair(g, r, td, ell)) is not None:
         x, y, bad = sel
-        before = cobagged_pairs(td, nr)
+        if before is None:
+            before = cobagged_pairs(td, nr)
         ctx = build_pair_context(g, r, td, x, y, ell)
         new_td = transform_bad_pair(ctx) if bad else transform_plain_pair(ctx)
         after = cobagged_pairs(new_td, nr)
@@ -658,7 +645,8 @@ def saturate_root(
                 "surgery did not strictly grow the co-bagged pairs"
             )
         td = compress(new_td)
-        if cobagged_pairs(td, nr) != after:
+        before = cobagged_pairs(td, nr)
+        if before != after:
             raise DecompositionError("compression changed the co-bagged pairs")
         entry["iterations"] += 1
         entry["pairs"].append((x, y, bad, "bad" if bad else "plain"))

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Union
 
-from .graph import Graph, VertexSet, closed_neighborhood, vertex_set, is_independent
+from .graph import (
+    Graph, VertexSet, closed_neighborhood, is_independent, members, vertex_set
+)
 from .oracles import (
     DK2,
     MatchingResult,
@@ -68,7 +70,7 @@ def near_complete_vertices(
     common = bmask
     for x in chosen_a:
         common &= g.neighbor_bits(x)
-    common_list = [v for v in range(g.n) if common >> v & 1]
+    common_list = members(common)
     if len(common_list) < ell:
         raise ExtractionError("counting bound violated; inputs inconsistent")
     w = biclique_witness(chosen_a, common_list[:ell])
@@ -154,7 +156,7 @@ def high_degree_extract(
         discard: set[int] = set()
         for member in chosen:
             b_mask = _private_mask(g, member, chosen, y_mask)
-            b_set = tuple(v for v in range(g.n) if b_mask >> v & 1)
+            b_set = members(b_mask)
             got = near_complete_vertices(g, tuple(pool), b_set, p, ell)
             if isinstance(got, Witness):
                 return got

@@ -114,6 +114,16 @@ def vertex_set(members: Iterable[int]) -> VertexSet:
     return tuple(sorted(set(members)))
 
 
+def members(mask: int) -> VertexSet:
+    """The vertices of the bitmask ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
 def open_neighborhood(g: Graph, v: int) -> VertexSet:
     """The neighbors of ``v``, excluding ``v`` itself."""
     return g.neighbors(v)

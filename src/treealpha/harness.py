@@ -32,7 +32,7 @@ from .oracles import (
     SUBSTAR,
     ForbiddenStructureFound,
     Witness,
-    alpha_of_subset,
+    alpha_mask,
     biclique_through,
     find_induced_complete_bipartite,
     find_induced_path,
@@ -86,7 +86,7 @@ def exact_tia(g: Graph, cap: Optional[int] = None) -> int:
         bag = (reach & ~eliminated) | (1 << v)
         alpha = memo.get(bag)
         if alpha is None:
-            alpha = alpha_of_subset(g, [u for u in range(g.n) if bag >> u & 1])
+            alpha = alpha_mask(g, bag)
             memo[bag] = alpha
         return alpha
 

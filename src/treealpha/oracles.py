@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graph import Graph, VertexSet, is_independent, vertex_set
+from .graph import Graph, VertexSet, is_independent, members, vertex_set
 
 
 # -- witnesses -------------------------------------------------------------
@@ -256,7 +256,7 @@ def max_independent_set(g: Graph) -> VertexSet:
     """A maximum independent set, deterministic across runs."""
     full = (1 << g.n) - 1
     chosen = _mis_mask(g.adjacency_bits(), full)
-    return tuple(v for v in range(g.n) if chosen >> v & 1)
+    return members(chosen)
 
 
 def alpha_mask(g: Graph, mask: int) -> int:
@@ -281,7 +281,7 @@ def max_independent_subset(g: Graph, s: Iterable[int]) -> VertexSet:
         g._check_vertex(v)
         mask |= 1 << v
     chosen = _mis_mask(g.adjacency_bits(), mask)
-    return tuple(v for v in range(g.n) if chosen >> v & 1)
+    return members(chosen)
 
 
 # -- bipartite matching with Konig certificate ------------------------------
@@ -430,16 +430,6 @@ def path_through(bits: Sequence[int], t: int, u: int, v: int) -> Optional[Witnes
     return None
 
 
-def _members(mask: int) -> VertexSet:
-    """The vertices of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
-
-
 def _independent_subsets(bits: Sequence[int], k: int, pool: int, chosen: int = 0):
     """Yield ``chosen`` plus each independent ``k``-subset of ``pool``, as masks.
 
@@ -472,10 +462,10 @@ def _extend_biclique(
     """
     full = (1 << len(bits)) - 1
     grow_a, common_a, rim_b = full & ~side_a, full, side_b
-    for w in _members(side_a):
+    for w in members(side_a):
         grow_a &= ~bits[w]
         common_a &= bits[w]
-    for w in _members(side_b):
+    for w in members(side_b):
         grow_a &= bits[w]
         rim_b |= bits[w]
     need_b = b - side_b.bit_count()
@@ -489,7 +479,7 @@ def _extend_biclique(
         if grow_b.bit_count() >= need_b:
             whole_b = next(_independent_subsets(bits, need_b, grow_b, side_b), None)
             if whole_b is not None:
-                return Witness(BICLIQUE, (_members(side_a | more_a), _members(whole_b)))
+                return Witness(BICLIQUE, (members(side_a | more_a), members(whole_b)))
     return None
 
 
@@ -546,7 +536,7 @@ def find_induced_subdivided_star(
     for center in range(g.n):
         cn = bits[center]
         for mid_mask in _independent_subsets(bits, d, cn):
-            mids = _members(mid_mask)
+            mids = members(mid_mask)
             # leaf candidates per ray: private neighbors of each mid
             pools = []
             for m in mids:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .graph import Graph, VertexSet, vertex_set
+from .graph import Graph, VertexSet, members, vertex_set
 from .oracles import alpha_of_subset
 
 
@@ -32,7 +32,8 @@ class TreeDecomposition:
     """A tree plus one bag per node.
 
     ``edges`` are tree edges between node ids ``0 .. len(bags)-1``.  The
-    subtree index (vertex -> nodes whose bag holds it) is derived once.  The
+    subtree index is derived once by :func:`node_masks`: :meth:`node_mask`
+    is T(v), the nodes whose bag holds ``v``, as a bitmask of node ids.  The
     rooted index (:class:`RootedIndex`, rooted at the last node) is built on
     first use and cached; every tree query reads it.  The path methods assume
     that the node graph is a tree and that each T(v) is connected, which
@@ -42,7 +43,7 @@ class TreeDecomposition:
     edges: tuple[tuple[int, int], ...]
     bags: tuple[VertexSet, ...]
     _node_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _subtrees: dict = field(init=False, repr=False, compare=False)
+    _masks: dict[int, int] = field(init=False, repr=False, compare=False)
     # A declared field, not functools.cached_property: on CPython 3.11 a
     # write through the instance __dict__ slows every later attribute read.
     _rooted: Optional[RootedIndex] = field(
@@ -60,13 +61,7 @@ class TreeDecomposition:
         object.__setattr__(
             self, "_node_adj", tuple(tuple(sorted(x)) for x in adj)
         )
-        sub: dict[int, list[int]] = {}
-        for t, bag in enumerate(self.bags):
-            for v in bag:
-                sub.setdefault(v, []).append(t)
-        object.__setattr__(
-            self, "_subtrees", {v: tuple(ts) for v, ts in sub.items()}
-        )
+        object.__setattr__(self, "_masks", node_masks(self.bags))
 
     @property
     def node_count(self) -> int:
@@ -94,12 +89,16 @@ class TreeDecomposition:
         object.__setattr__(self, "_rooted", index)
         return index
 
+    def node_mask(self, v: int) -> int:
+        """T(v) as a bitmask over node ids (0 if no bag holds ``v``)."""
+        return self._masks.get(v, 0)
+
     def subtree(self, v: int) -> tuple[int, ...]:
-        """Nodes whose bag contains ``v`` (empty tuple if none)."""
-        return self._subtrees.get(v, ())
+        """Nodes whose bag contains ``v``, ascending (empty tuple if none)."""
+        return members(self._masks.get(v, 0))
 
     def vertices(self) -> VertexSet:
-        return tuple(sorted(self._subtrees))
+        return tuple(sorted(self._masks))
 
     def tree_path(self, a: int, b: int) -> tuple[int, ...]:
         """The unique path of nodes from ``a`` to ``b``."""
@@ -134,13 +133,13 @@ class TreeDecomposition:
 
     def path_between_subtrees(self, u: int, v: int) -> tuple[int, ...]:
         """Shortest node path from T(u) to T(v); a single node if they meet."""
-        src, dst = set(self.subtree(u)), set(self.subtree(v))
+        src, dst = self.node_mask(u), self.node_mask(v)
         if not src or not dst:
             raise ValueError("empty subtree")
         hit = src & dst
         if hit:
-            return (min(hit),)
-        return self.path_between(src, dst)
+            return ((hit & -hit).bit_length() - 1,)
+        return self.path_between(set(members(src)), set(members(dst)))
 
     def relabel_vertices(self, mapping: Sequence[int]) -> "TreeDecomposition":
         """Rename bag contents: vertex ``i`` becomes ``mapping[i]``."""
@@ -148,6 +147,16 @@ class TreeDecomposition:
             self.edges,
             tuple(tuple(sorted(mapping[v] for v in bag)) for bag in self.bags),
         )
+
+
+def node_masks(bags: Iterable[Iterable[int]]) -> dict[int, int]:
+    """Each vertex's bitmask of the bag positions that hold it."""
+    masks: dict[int, int] = {}
+    for t, bag in enumerate(bags):
+        bit = 1 << t
+        for v in bag:
+            masks[v] = masks.get(v, 0) | bit
+    return masks
 
 
 def single_bag_decomposition(vertices: Iterable[int]) -> TreeDecomposition:
@@ -182,24 +191,26 @@ def validate(
         out.append("node graph is disconnected")
     if out:
         return out
-    for bag in td.bags:
+    for t, bag in enumerate(td.bags):
         for v in bag:
             if v not in inside:
                 out.append(f"bag vertex {v} outside graph")
                 return out
+        if len(set(bag)) < len(bag):
+            v = next(v for i, v in enumerate(bag) if v in bag[:i])
+            out.append(f"bag {t} repeats vertex {v}")
+    up = [1 << p if p >= 0 else 0 for p in parent]  # no bit at the root
     for v in scope:
-        nodes = td.subtree(v)
+        nodes = td.node_mask(v)
         if not nodes:
             out.append(f"vertex {v} appears in no bag")
             continue
-        nodeset = set(nodes)
-        if sum(parent[t] not in nodeset for t in nodes) != 1:
+        if sum(not nodes & up[t] for t in members(nodes)) != 1:
             out.append(f"vertex {v} has a disconnected bag set")
     for u in scope:
+        mu = td.node_mask(u)
         for v in g.neighbors(u):
-            if u < v and v in inside and not (
-                set(td.subtree(u)) & set(td.subtree(v))
-            ):
+            if u < v and v in inside and not mu & td.node_mask(v):
                 out.append(f"edge {u}-{v} not covered by any bag")
     return out
 
@@ -211,14 +222,13 @@ def td_alpha(g: Graph, td: TreeDecomposition) -> int:
 
 def cobagged_pairs(td: TreeDecomposition, s: Iterable[int]) -> set[frozenset[int]]:
     """All unordered pairs from ``s`` that share at least one bag."""
-    sl = vertex_set(s)
-    out: set[frozenset[int]] = set()
-    for i, u in enumerate(sl):
-        su = set(td.subtree(u))
-        for v in sl[i + 1 :]:
-            if su & set(td.subtree(v)):
-                out.add(frozenset((u, v)))
-    return out
+    held = [(v, td.node_mask(v)) for v in vertex_set(s)]
+    return {
+        frozenset((u, v))
+        for i, (u, mu) in enumerate(held)
+        for v, mv in held[i + 1 :]
+        if mu & mv
+    }
 
 
 def find_bag_containing_set(td: TreeDecomposition, s: Iterable[int]) -> Optional[int]:
@@ -227,11 +237,10 @@ def find_bag_containing_set(td: TreeDecomposition, s: Iterable[int]) -> Optional
     For a valid decomposition this exists exactly when every pair of ``s``
     is co-bagged (Helly property of subtrees).
     """
-    want = set(s)
-    for t, bag in enumerate(td.bags):
-        if want <= set(bag):
-            return t
-    return None
+    common = (1 << td.node_count) - 1
+    for v in s:
+        common &= td.node_mask(v)
+    return (common & -common).bit_length() - 1 if common else None
 
 
 def closed_neighborhood_bag(g: Graph, td: TreeDecomposition) -> tuple[int, int]:
