@@ -400,15 +400,9 @@ def select_pair(
     if not pairs:
         return None
     nrbar = _nrbar(g, r, *_level(g, r, td))
-    scored = []
-    for x, y in pairs:
-        bad = alpha_of_subset(g, nrbar[x] - nrbar[y]) >= ell
-        scored.append((bad, subtree_distance(td, x, y), x, y))
-    bads = [s for s in scored if s[0]]
-    pool = bads if bads else scored
-    best_dist = max(s[1] for s in pool)
-    cand = min((x, y) for b, dist, x, y in pool if dist == best_dist)
-    return cand[0], cand[1], bool(bads)
+    bads = [(x, y) for x, y in pairs if alpha_of_subset(g, nrbar[x] - nrbar[y]) >= ell]
+    x, y = max(bads or pairs, key=lambda p: (subtree_distance(td, *p), -p[0], -p[1]))
+    return x, y, bool(bads)
 
 
 # -- the two surgeries --------------------------------------------------------

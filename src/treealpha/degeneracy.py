@@ -14,7 +14,8 @@ from math import comb
 from typing import Iterable, Optional, Union
 
 from .graph import (
-    Graph, VertexSet, closed_neighborhood, is_independent, members, vertex_set
+    Graph, VertexSet, closed_neighborhood, is_independent, mask_of, members,
+    vertex_set,
 )
 from .oracles import (
     DK2,
@@ -58,11 +59,11 @@ def near_complete_vertices(
         raise ValueError(
             f"|B| = {len(b_side)} below required {p}*{ell} = {p * ell}"
         )
-    bmask = sum(1 << v for v in b_side)
+    bmask = mask_of(g, b_side)
     qualifying = tuple(
         x
         for x in a_side
-        if len(b_side) - bin(g.neighbor_bits(x) & bmask).count("1") < p
+        if len(b_side) - (g.neighbor_bits(x) & bmask).bit_count() < p
     )
     if len(qualifying) < ell:
         return qualifying
@@ -119,7 +120,7 @@ def _private_mask(g: Graph, v: int, group: list[int], y_mask: int) -> int:
 
 
 def _private_size(g: Graph, v: int, group: list[int], y_mask: int) -> int:
-    return bin(_private_mask(g, v, group, y_mask)).count("1")
+    return _private_mask(g, v, group, y_mask).bit_count()
 
 
 def high_degree_extract(
@@ -137,10 +138,10 @@ def high_degree_extract(
     _check_bipartition(g, x_side, y_side)
     if d < 2 or ell < 2:
         raise ValueError("d and ell must be >= 2")
-    y_mask = sum(1 << v for v in y_side)
+    y_mask = mask_of(g, y_side)
     need = ell ** (d - 1)
     for x in x_side:
-        if bin(g.neighbor_bits(x) & y_mask).count("1") < need:
+        if (g.neighbor_bits(x) & y_mask).bit_count() < need:
             raise ValueError(f"vertex {x} has degree below {need} in Y")
     limit = comb(d, 2) * (ell - 1)
     if len(x_side) <= limit:
@@ -202,9 +203,9 @@ def low_degree_induced_matching(
     for x in x_side:
         if x not in partner or partner[x] not in set(y_side):
             raise ValueError(f"matching does not cover {x} within Y")
-    y_mask_full = sum(1 << v for v in y_side)
+    y_mask_full = mask_of(g, y_side)
     for x in x_side:
-        if bin(g.neighbor_bits(x) & y_mask_full).count("1") > q:
+        if (g.neighbor_bits(x) & y_mask_full).bit_count() > q:
             raise ValueError(f"vertex {x} exceeds degree bound {q}")
     if len(x_side) <= 2 * (d - 1) * q:
         raise ValueError(f"|X| = {len(x_side)} not above 2(d-1)q = {2 * (d - 1) * q}")
@@ -214,8 +215,8 @@ def low_degree_induced_matching(
             x = min(xs)
             return [(x, partner[x])]
         ys = sorted(partner[x] for x in xs)
-        x_mask = sum(1 << v for v in xs)
-        y = min(v for v in ys if bin(g.neighbor_bits(v) & x_mask).count("1") <= q)
+        x_mask = mask_of(g, xs)
+        y = min(v for v in ys if (g.neighbor_bits(v) & x_mask).bit_count() <= q)
         x = partner[y]
         y_keep = [v for v in ys if not g.adjacent(x, v)]
         blocked = {partner[v] for v in ys if g.adjacent(x, v)}
@@ -289,7 +290,7 @@ def low_alpha_vertex(
         raise ExtractionError("matching smaller than |J| - 1; oracle inconsistency")
     partner = matching.partner()
     j_matched = sorted(x for x in j_set if x in partner)
-    i_mask = sum(1 << u for u in i_rest)
+    i_mask = mask_of(g, i_rest)
 
     witness = (
         _extract_d2(g, v, j_matched, partner, i_mask, ell)
@@ -311,7 +312,7 @@ def _extract_d2(
 ) -> Witness:
     """Nested-neighborhood ordering yields a biclique; a break yields a path."""
     xs = sorted(
-        j_matched, key=lambda x: (bin(g.neighbor_bits(x) & i_mask).count("1"), x)
+        j_matched, key=lambda x: ((g.neighbor_bits(x) & i_mask).bit_count(), x)
     )
     for a, b in zip(xs, xs[1:]):
         na = g.neighbor_bits(a) & i_mask
@@ -340,10 +341,10 @@ def _extract_general(
     ell: int,
 ) -> Witness:
     """Split by degree and run the matching/private-neighborhood extractions."""
-    i_mask = sum(1 << u for u in i_rest)
+    i_mask = mask_of(g, i_rest)
     thr = ell ** (d - 1)
     j_high = tuple(
-        x for x in j_matched if bin(g.neighbor_bits(x) & i_mask).count("1") >= thr
+        x for x in j_matched if (g.neighbor_bits(x) & i_mask).bit_count() >= thr
     )
     j_low = tuple(x for x in j_matched if x not in set(j_high))
     if len(j_high) > comb(d, 2) * (ell - 1):

@@ -8,7 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class GraphParseError(ValueError):
@@ -124,6 +124,29 @@ def members(mask: int) -> VertexSet:
     return tuple(out)
 
 
+def mask_of(g: Graph, s: Iterable[int]) -> int:
+    """The bitmask of the vertex set ``s``; raises ValueError on a non-vertex."""
+    mask = 0
+    for v in set(s):
+        g._check_vertex(v)
+        mask |= 1 << v
+    return mask
+
+
+def component(bits: Sequence[int], mask: int) -> int:
+    """The connected component of the lowest masked vertex, as a bitmask."""
+    comp = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= bits[low.bit_length() - 1]
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 def open_neighborhood(g: Graph, v: int) -> VertexSet:
     """The neighbors of ``v``, excluding ``v`` itself."""
     return g.neighbors(v)
@@ -146,30 +169,19 @@ def components(g: Graph, s: Iterable[int]) -> list[VertexSet]:
 
     Returned as sorted vertex tuples, ordered by their minimum vertex id.
     """
-    pool = set(s)
-    for v in pool:
-        g._check_vertex(v)
+    bits = g.adjacency_bits()
+    mask = mask_of(g, s)
     out: list[VertexSet] = []
-    while pool:
-        start = min(pool)
-        comp = {start}
-        frontier = [start]
-        pool.remove(start)
-        while frontier:
-            u = frontier.pop()
-            for w in g.neighbors(u):
-                if w in pool:
-                    pool.remove(w)
-                    comp.add(w)
-                    frontier.append(w)
-        out.append(tuple(sorted(comp)))
+    while mask:
+        comp = component(bits, mask)
+        mask ^= comp
+        out.append(members(comp))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(components(g, range(g.n))) == 1
+    full = (1 << g.n) - 1
+    return component(g.adjacency_bits(), full) == full
 
 
 def is_complete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
@@ -177,18 +189,15 @@ def is_complete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
 
     Vacuously true when either side is empty; the sides must be disjoint.
     """
-    aset, bset = set(a), set(b)
-    if aset & bset:
-        raise ValueError(f"sides overlap: {sorted(aset & bset)}")
-    bmask = sum(1 << v for v in bset)
-    return all(g.neighbor_bits(u) & bmask == bmask for u in aset)
+    amask, bmask = mask_of(g, a), mask_of(g, b)
+    if amask & bmask:
+        raise ValueError(f"sides overlap: {list(members(amask & bmask))}")
+    return all(g.neighbor_bits(u) & bmask == bmask for u in members(amask))
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    sl = sorted(set(s))
-    return all(
-        not g.adjacent(u, v) for i, u in enumerate(sl) for v in sl[i + 1 :]
-    )
+    mask = mask_of(g, s)
+    return not any(g.neighbor_bits(v) & mask for v in members(mask))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, VertexSet]:

@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graph import Graph, VertexSet, is_independent, members, vertex_set
+from .graph import (
+    Graph, VertexSet, component, is_independent, mask_of, members, vertex_set
+)
 
 
 # -- witnesses -------------------------------------------------------------
@@ -171,20 +173,6 @@ def _clique_cover_bound(bits: Sequence[int], mask: int) -> int:
     return len(cliques)
 
 
-def _component(bits: Sequence[int], mask: int) -> int:
-    """The connected component of the lowest masked vertex, as a bitmask."""
-    comp = frontier = mask & -mask
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reach |= bits[low.bit_length() - 1]
-        frontier = reach & mask & ~comp
-        comp |= frontier
-    return comp
-
-
 def _mis_mask(bits: Sequence[int], mask: int) -> int:
     """Maximum independent set of the masked subgraph, as a bitmask.
 
@@ -219,13 +207,13 @@ def _mis_mask(bits: Sequence[int], mask: int) -> int:
             floor -= iso.bit_count()
         if not mask:
             return iso if floor < 0 else -1
-        comp = _component(bits, mask)
+        comp = component(bits, mask)
         if comp != mask:
             out = iso
             while mask:
                 out |= solve(comp, -1)
                 mask ^= comp
-                comp = _component(bits, mask)
+                comp = component(bits, mask)
             return out if (out ^ iso).bit_count() > floor else -1
         if floor > 0 and _clique_cover_bound(bits, mask) <= floor:
             return -1
@@ -267,21 +255,12 @@ def alpha_mask(g: Graph, mask: int) -> int:
 
 def alpha_of_subset(g: Graph, s: Iterable[int]) -> int:
     """Independence number of the subgraph induced by ``s``."""
-    mask = 0
-    for v in set(s):
-        g._check_vertex(v)
-        mask |= 1 << v
-    return alpha_mask(g, mask)
+    return alpha_mask(g, mask_of(g, s))
 
 
 def max_independent_subset(g: Graph, s: Iterable[int]) -> VertexSet:
     """A maximum independent set within ``s``, deterministic."""
-    mask = 0
-    for v in set(s):
-        g._check_vertex(v)
-        mask |= 1 << v
-    chosen = _mis_mask(g.adjacency_bits(), mask)
-    return members(chosen)
+    return members(_mis_mask(g.adjacency_bits(), mask_of(g, s)))
 
 
 # -- bipartite matching with Konig certificate ------------------------------
@@ -430,8 +409,8 @@ def path_through(bits: Sequence[int], t: int, u: int, v: int) -> Optional[Witnes
     return None
 
 
-def _independent_subsets(bits: Sequence[int], k: int, pool: int, chosen: int = 0):
-    """Yield ``chosen`` plus each independent ``k``-subset of ``pool``, as masks.
+def _independent_subsets(bits: Sequence[int], k: int, cands: int, chosen: int = 0):
+    """Yield ``chosen`` plus each independent ``k``-subset of ``cands``, as masks.
 
     Subsets come in lexicographic order of their sorted members: the lowest
     candidate is chosen first, and a choice drops its neighbors from the rest.
@@ -439,15 +418,15 @@ def _independent_subsets(bits: Sequence[int], k: int, pool: int, chosen: int = 0
     if k == 0:
         yield chosen
     elif k == 1:
-        while pool:
-            low = pool & -pool
-            pool ^= low
+        while cands:
+            low = cands & -cands
+            cands ^= low
             yield chosen | low
     else:
-        while pool.bit_count() >= k:
-            low = pool & -pool
-            pool ^= low
-            rest = pool & ~bits[low.bit_length() - 1]
+        while cands.bit_count() >= k:
+            low = cands & -cands
+            cands ^= low
+            rest = cands & ~bits[low.bit_length() - 1]
             yield from _independent_subsets(bits, k - 1, rest, chosen | low)
 
 

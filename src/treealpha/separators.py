@@ -21,6 +21,8 @@ from .graph import (
     components,
     induced_subgraph,
     is_connected,
+    mask_of,
+    members,
     vertex_set,
 )
 from .oracles import (
@@ -82,12 +84,13 @@ def gyarfas_dominated_separator(g: Graph, t: int) -> SeparatorCertificate:
         raise ValueError("graph must be non-null")
     if not is_connected(g):
         raise DisconnectedGraphError("separator construction needs a connected graph")
+    bits = g.adjacency_bits()
+    full = (1 << g.n) - 1
     path = [0]
-    prev_region = set(range(g.n))
+    prev_region = full
     while True:
         dominated = closed_neighborhood_of_set(g, path)
-        rest = sorted(set(range(g.n)) - set(dominated))
-        comps = components(g, rest)
+        comps = components(g, members(full & ~mask_of(g, dominated)))
         big = [c for c in comps if 2 * len(c) > g.n]
         if not big:
             return SeparatorCertificate(
@@ -96,19 +99,14 @@ def gyarfas_dominated_separator(g: Graph, t: int) -> SeparatorCertificate:
                 component_list=tuple(comps),
                 bound=g.n // 2,
             )
-        region = set(big[0])
-        boundary = {
-            u
-            for c in region
-            for u in g.neighbors(c)
-            if u not in region
-        }
-        cands = sorted(
-            u for u in boundary if g.adjacent(u, path[-1]) and u in prev_region
-        )
+        region = mask_of(g, big[0])
+        reach = 0
+        for u in big[0]:
+            reach |= bits[u]
+        cands = reach & ~region & bits[path[-1]] & prev_region
         if not cands:
             raise RuntimeError("path growth stalled; connectivity invariant broken")
-        path.append(cands[0])
+        path.append((cands & -cands).bit_length() - 1)
         prev_region = region
         if len(path) >= t:
             w = path_witness(path)
@@ -129,7 +127,7 @@ def get_separator_provider(name: str) -> SeparatorProvider:
 
 
 def _separator_within(
-    g: Graph, region: list[int], provider: SeparatorProvider
+    g: Graph, region: VertexSet, provider: SeparatorProvider
 ) -> set[int]:
     """A dominating set balancing ``g`` restricted to ``region``.
 
@@ -159,61 +157,46 @@ def dbs_low_alpha_vertex(
 ) -> tuple[int, int]:
     """A vertex whose closed neighborhood independence is at most d*ell*log2(n).
 
-    Recursion: peel universal vertices into a clique; if one vertex remains
-    the graph was complete.  Otherwise either a high-degree vertex exists and
-    we descend into the largest component left by its closed neighborhood,
-    or the separator provider supplies the set to descend through.  The
-    final bound is re-verified; a violation signals a class-membership
-    breach and carries an unbalanced-biclique diagnostic when one exists.
+    Descent loop over a region, first the whole graph: peel the region's
+    universal vertices into a clique; if at most one vertex is left, the
+    region was complete and its least vertex is the answer.  Otherwise a
+    high-degree vertex, or else the separator provider, supplies a set whose
+    closed neighborhood is removed, and the largest component left becomes
+    the region.  The final bound is re-verified; a violation signals a
+    class-membership breach and carries an unbalanced-biclique diagnostic
+    when one exists.
     """
     if ell < 2 or d < 2:
         raise ValueError("ell and d must be >= 2")
     if g.n < 2:
         raise ValueError("graph must have at least 2 vertices")
 
-    depth = 0
-    peels = 0
-
-    def rec(region: list[int]) -> int:
-        nonlocal depth, peels
-        live = set(region)
-        peeled_here = False
-        while True:
-            universal = None
-            for v in sorted(live):
-                if all(u in set(g.neighbors(v)) for u in live if u != v):
-                    universal = v
-                    break
-            if universal is None:
-                break
-            live.remove(universal)
-            peeled_here = True
-        if peeled_here:
-            peels += 1
-        if len(live) <= 1:
-            return min(region)
-        n_prime = len(live)
-        degs = {
-            v: sum(1 for u in g.neighbors(v) if u in live) for v in live
-        }
-        best = max(sorted(live), key=lambda v: (degs[v], -v))
+    bits = g.adjacency_bits()
+    depth = peels = 0
+    region = (1 << g.n) - 1
+    while True:
+        # removing a universal vertex leaves every other vertex's status as
+        # it was, so one pass peels them all
+        universal = 0
+        for v in members(region):
+            if not region & ~bits[v] & ~(1 << v):
+                universal |= 1 << v
+        live = region & ~universal
+        peels += universal != 0
+        if not live & (live - 1):
+            v = (region & -region).bit_length() - 1
+            break
+        best = max(members(live), key=lambda v: ((bits[v] & live).bit_count(), -v))
         depth += 1
-        if d * (degs[best] + 1) >= n_prime:
+        if d * ((bits[best] & live).bit_count() + 1) >= live.bit_count():
             x_set = {best}
         else:
-            x_set = _separator_within(g, sorted(live), provider)
-        removed = set()
-        for v in x_set:
-            removed.add(v)
-            removed.update(u for u in g.neighbors(v) if u in live)
-        rest = sorted(live - removed)
-        comps = components(g, rest)
-        if not comps:
+            x_set = _separator_within(g, members(live), provider)
+        rest = live & ~mask_of(g, closed_neighborhood_of_set(g, x_set))
+        if not rest:
             raise RuntimeError("separator removed everything; degree case expected")
-        target = max(comps, key=len)
-        return rec(list(target))
+        region = mask_of(g, max(components(g, members(rest)), key=len))
 
-    v = rec(list(range(g.n)))
     alpha = alpha_of_subset(g, closed_neighborhood(g, v))
     limit = d * ell * log2(g.n)
     if alpha > limit:
