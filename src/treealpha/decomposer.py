@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .graph import Graph, VertexSet, components, members, vertex_set
+from .graph import Graph, VertexSet, components, mask_of, members, vertex_set
 from .oracles import (
     BICLIQUE,
     ForbiddenStructureFound,
     Witness,
-    alpha_of_subset,
+    alpha_exceeds,
+    alpha_of_subset,  # unused here; bench/selftest.py reads it through this module
     biclique_witness,
     find_induced_biclique,
     find_induced_path,
@@ -51,6 +52,7 @@ from .treedecomp import (
     single_bag_decomposition,
     subtree_distance,
     td_alpha,
+    td_alpha_exceeds,
     validate,
 )
 
@@ -220,7 +222,7 @@ def build_pair_context(
     ctx.w_x = nrx - nry
     ctx.w_y = nry - nrx
     ctx.w_xy = nrx & nry
-    ctx.bad = alpha_of_subset(g, ctx.w_x) >= ell
+    ctx.bad = alpha_exceeds(g, mask_of(g, ctx.w_x), ell - 1)
     ctx.comps = tuple(components(g, ctx.level - ctx.m - {r}))
     path = td.path_between_subtrees(x, y)
     ctx.t_x, ctx.t_y = path[0], path[-1]
@@ -229,7 +231,7 @@ def build_pair_context(
         u
         for u in ctx.u_all
         if (nrx - ctx.nrbar[u]) <= nry
-        and alpha_of_subset(g, nrx - ctx.nrbar[u]) <= ell - 1
+        and not alpha_exceeds(g, mask_of(g, nrx - ctx.nrbar[u]), ell - 1)
     }
 
     _assert_component_structure(ctx, nrx, nry)
@@ -281,7 +283,7 @@ def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
             g, path_witness((wx, x, r, y, wy)),
             "private sides of a bad pair are not complete to each other",
         )
-    if alpha_of_subset(g, ctx.w_y) >= ell:
+    if alpha_exceeds(g, mask_of(g, ctx.w_y), ell - 1):
         side_a = max_independent_subset(g, ctx.w_x)[:ell]
         side_b = max_independent_subset(g, ctx.w_y)[:ell]
         _raise_with_witness(
@@ -400,7 +402,11 @@ def select_pair(
     if not pairs:
         return None
     nrbar = _nrbar(g, r, *_level(g, r, td))
-    bads = [(x, y) for x, y in pairs if alpha_of_subset(g, nrbar[x] - nrbar[y]) >= ell]
+    bads = [
+        (x, y)
+        for x, y in pairs
+        if alpha_exceeds(g, mask_of(g, nrbar[x] - nrbar[y]), ell - 1)
+    ]
     x, y = max(bads or pairs, key=lambda p: (subtree_distance(td, *p), -p[0], -p[1]))
     return x, y, bool(bads)
 
@@ -598,7 +604,7 @@ def _check_surgery_output(
     problems = validate(g, out, ctx.level - {r})
     if problems:
         _postcondition_failure(g, ell, f"{label} broke validity: {problems[:3]}")
-    if td_alpha(g, out) > 4 * ell:
+    if td_alpha_exceeds(g, out, 4 * ell):
         _postcondition_failure(g, ell, f"{label} exceeded the 4*ell bag bound")
     if not out.node_mask(ctx.x) & out.node_mask(ctx.y):
         raise DecompositionError(f"{label} failed to co-bag the chosen pair")
@@ -703,7 +709,7 @@ def decompose(
     problems = validate(g, td)
     if problems:
         raise DecompositionError(f"final decomposition invalid: {problems[:3]}")
-    if td_alpha(g, td) > 4 * ell:
+    if td_alpha_exceeds(g, td, 4 * ell):
         raise DecompositionError("final decomposition exceeds the bag bound")
     return td
 

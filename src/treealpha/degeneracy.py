@@ -200,10 +200,11 @@ def low_degree_induced_matching(
     if d < 1 or q < 1:
         raise ValueError("d and q must be positive")
     partner = matching.partner()
-    for x in x_side:
-        if x not in partner or partner[x] not in set(y_side):
-            raise ValueError(f"matching does not cover {x} within Y")
     y_mask_full = mask_of(g, y_side)
+    for x in x_side:
+        y = partner.get(x, -1)
+        if y < 0 or not y_mask_full >> y & 1:
+            raise ValueError(f"matching does not cover {x} within Y")
     for x in x_side:
         if (g.neighbor_bits(x) & y_mask_full).bit_count() > q:
             raise ValueError(f"vertex {x} exceeds degree bound {q}")
@@ -346,7 +347,8 @@ def _extract_general(
     j_high = tuple(
         x for x in j_matched if (g.neighbor_bits(x) & i_mask).bit_count() >= thr
     )
-    j_low = tuple(x for x in j_matched if x not in set(j_high))
+    high_mask = mask_of(g, j_high)
+    j_low = tuple(x for x in j_matched if not high_mask >> x & 1)
     if len(j_high) > comb(d, 2) * (ell - 1):
         got = high_degree_extract(g, j_high, i_rest, d, ell)
         if isinstance(got, Witness):

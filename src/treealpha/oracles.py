@@ -106,9 +106,6 @@ def verify_witness(g: Graph, w: Witness) -> bool:
                 return False
             if set(a) & set(b):
                 return False
-            for v in a + b:
-                if not (0 <= v < g.n):
-                    return False
             if not (is_independent(g, a) and is_independent(g, b)):
                 return False
             return all(g.adjacent(u, v) for u in a for v in b)
@@ -173,7 +170,7 @@ def _clique_cover_bound(bits: Sequence[int], mask: int) -> int:
     return len(cliques)
 
 
-def _mis_mask(bits: Sequence[int], mask: int) -> int:
+def _mis_mask(bits: Sequence[int], mask: int, floor: int = -1) -> int:
     """Maximum independent set of the masked subgraph, as a bitmask.
 
     Returns the first optimum in branching order.  The branching tree strips
@@ -191,6 +188,9 @@ def _mis_mask(bits: Sequence[int], mask: int) -> int:
     differ where they differ in one component's tree.  Hence the first
     maximum leaf of the union is the union of the components' first maximum
     leaves.
+
+    Returns ``solve(mask, floor)``; the default ``floor=-1`` always yields the
+    optimum.
     """
 
     def solve(mask: int, floor: int) -> int:
@@ -237,7 +237,7 @@ def _mis_mask(bits: Sequence[int], mask: int) -> int:
             return exc | iso
         return inc | iso if inc >= 0 else -1
 
-    return solve(mask, -1)
+    return solve(mask, floor)
 
 
 def max_independent_set(g: Graph) -> VertexSet:
@@ -251,6 +251,11 @@ def alpha_mask(g: Graph, mask: int) -> int:
     if mask == 0:
         return 0
     return _mis_mask(g.adjacency_bits(), mask).bit_count()
+
+
+def alpha_exceeds(g: Graph, mask: int, k: int) -> bool:
+    """Whether the masked subgraph has an independent set of more than ``k``."""
+    return mask.bit_count() > k and _mis_mask(g.adjacency_bits(), mask, k) >= 0
 
 
 def alpha_of_subset(g: Graph, s: Iterable[int]) -> int:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .graph import Graph, VertexSet, members, vertex_set
-from .oracles import alpha_of_subset
+from .graph import Graph, VertexSet, mask_of, members, vertex_set
+from .oracles import alpha_exceeds, alpha_mask
 
 
 class RootedIndex(NamedTuple):
@@ -217,7 +217,17 @@ def validate(
 
 def td_alpha(g: Graph, td: TreeDecomposition) -> int:
     """Independence number of the decomposition: max alpha over bags."""
-    return max((alpha_of_subset(g, bag) for bag in td.bags), default=0)
+    masks = {mask_of(g, bag) for bag in td.bags}
+    return max((alpha_mask(g, m) for m in masks), default=0)
+
+
+def td_alpha_exceeds(g: Graph, td: TreeDecomposition, k: int) -> bool:
+    """Whether some bag has an independent set of more than ``k`` vertices.
+
+    The decision form of ``td_alpha(g, td) > k``; each distinct bag is
+    searched once, and only until the bound is settled.
+    """
+    return any(alpha_exceeds(g, m, k) for m in {mask_of(g, bag) for bag in td.bags})
 
 
 def cobagged_pairs(td: TreeDecomposition, s: Iterable[int]) -> set[frozenset[int]]:
