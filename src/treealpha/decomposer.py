@@ -5,15 +5,20 @@ either produces an induced balanced biclique K_{ell,ell} or builds a tree
 decomposition whose every bag has independence number at most ``4*ell``.
 
 The engine makes two passes over the input graph, always in its own vertex
-ids.  The forward pass eliminates one root at a time: each root r is a vertex
-whose closed neighborhood among the vertices not yet eliminated has small
-independence number.  Those vertices, r included, are the level of r.  The
-backward pass starts from a single bag holding the last vertex and adds the
-roots back in reverse order.  Adding r back restructures the decomposition of
-its level minus r until all neighbors of r in the level share a bag, then
-hangs the bag N[r] (within the level) off that bag.  The decomposition handed
-to each step covers exactly the level minus r, so the level is read off its
-bags, and every read of the graph in the restructuring stays inside it.
+ids.  The forward pass eliminates one root at a time: each root r is the
+least vertex of a maximum independent set of the vertices not yet
+eliminated.  Those vertices, r included, are the level of r.  The roots and
+the independence number of each root's closed neighborhood in its level do
+not depend on ell, so the forward pass runs once per graph and
+``approximate_tia`` shares it across the ells.  At a given ell the levels
+are accepted while that number stays below 2*ell, and the first level past
+the bound yields the witness.  The backward pass starts from a
+single bag holding the last vertex and adds the roots back in reverse order.
+Adding r back restructures the decomposition of its level minus r until all
+neighbors of r in the level share a bag, then hangs the bag N[r] (within the
+level) off that bag as a new leaf.  The decomposition handed to each step
+covers exactly the level minus r, so the level is read off its bags, and
+every read of the graph in the restructuring stays inside it.
 
 Each restructuring step strictly grows the number of co-bagged neighbor
 pairs, so the loop finishes within (deg r choose 2) rounds.  Every structural
@@ -25,14 +30,18 @@ the caller's promise about the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .graph import Graph, VertexSet, components, mask_of, members, vertex_set
+from .graph import (
+    Graph, VertexSet, component, components, mask_of, members, vertex_set,
+)
 from .oracles import (
     BICLIQUE,
     ForbiddenStructureFound,
     Witness,
+    _mis_mask,
     alpha_exceeds,
     alpha_of_subset,  # unused here; bench/selftest.py reads it through this module
     biclique_witness,
@@ -64,13 +73,22 @@ class DecompositionError(RuntimeError):
 # -- small helpers -----------------------------------------------------------
 
 
+def _root_neighbors(g: Graph, r: int, td: TreeDecomposition) -> VertexSet:
+    """The neighbors of root r in its level: those that ``td`` holds.
+
+    ``td`` decomposes the level minus r, so this costs O(deg r).
+    """
+    return tuple(u for u in g.neighbors(r) if td.node_mask(u))
+
+
 def _level(g: Graph, r: int, td: TreeDecomposition) -> tuple[set[int], VertexSet]:
     """The level of root r, and the neighbors of r in it.
 
     ``td`` decomposes the level minus r, so the level is read off its bags.
+    Building it sorts the whole level: only the pair context and a pair
+    search that found pairs read it.
     """
-    level = set(td.vertices()) | {r}
-    return level, tuple(u for u in g.neighbors(r) if u in level)
+    return set(td.vertices()) | {r}, _root_neighbors(g, r, td)
 
 
 def _nrbar(
@@ -375,8 +393,7 @@ def enumerate_uncobagged_pairs(
 
     Only neighbors in the level count: those ``td`` holds.
     """
-    nr = _level(g, r, td)[1]
-    held = [(v, td.node_mask(v)) for v in nr]
+    held = [(v, td.node_mask(v)) for v in _root_neighbors(g, r, td)]
     out: list[tuple[int, int]] = []
     for x, mx in held:
         for y, my in held:
@@ -629,7 +646,7 @@ def saturate_root(
     co-bagged pairs after compression, checked equal to those before it, are
     the next round's starting set.
     """
-    nr = _level(g, r, td)[1]
+    nr = _root_neighbors(g, r, td)
     entry = {"root": r, "degree": len(nr), "iterations": 0, "pairs": []}
     limit = comb(len(nr), 2)
     before = None
@@ -659,6 +676,95 @@ def saturate_root(
     return td
 
 
+def _elimination_order(g: Graph) -> Iterator[tuple[int, int]]:
+    """The forward pass: roots r_1, ..., r_{n-1} with a_i = alpha(N[r_i]).
+
+    Level i is the set of vertices not yet eliminated, and a_i is taken
+    within it.  r_i is the least vertex of the level's first maximum
+    independent set, as ``low_alpha_vertex`` picks it, so neither depends on
+    ell.  That set is the union of the first optima of the level's
+    components (see ``_mis_mask``), so each component is solved once, when
+    it appears.  Removing r from its component C re-solves only the
+    components D of C - r.  The optimum I_C of C leaves |I_C & D| vertices in
+    D, so D's search runs with that floor less one and still returns D's
+    first optimum.
+    """
+    bits = g.adjacency_bits()
+    # (least vertex of the optimum, component, its first optimum); the
+    # least vertices are distinct, so the top is the next root's component.
+    heap: list[tuple[int, int, int]] = []
+
+    def split(rest: int, optimum: int) -> None:
+        while rest:
+            comp = component(bits, rest)
+            rest ^= comp
+            best = _mis_mask(bits, comp, (optimum & comp).bit_count() - 1)
+            if best < 0:  # -1 would put a false root on the heap, never ending the loop
+                raise DecompositionError("component optimum missed its floor")
+            heappush(heap, ((best & -best).bit_length() - 1, comp, best))
+
+    alive = (1 << g.n) - 1
+    split(alive, 0)
+    while alive & (alive - 1):
+        r, comp, best = heappop(heap)
+        bit = 1 << r
+        yield r, _mis_mask(bits, (bits[r] | bit) & alive).bit_count()
+        alive ^= bit
+        split(comp ^ bit, best ^ bit)
+
+
+def _decompose_levels(
+    g: Graph,
+    ell: int,
+    levels: Iterable[tuple[int, int]],
+    log: Optional[list],
+) -> Union[Witness, TreeDecomposition]:
+    """``decompose`` at ``ell`` from the forward pass's ``levels``.
+
+    The roots are accepted while alpha(N[r_i]) < 2*ell.  The first level
+    past the bound runs ``low_alpha_vertex``'s extraction on that level, so
+    its witness (or the exception raised) is the per-level search's own.
+    """
+    alive = (1 << g.n) - 1
+    roots: list[int] = []
+    for r, a in levels:
+        if a >= 2 * ell:
+            report = low_alpha_vertex(g, ell, 2, within=members(alive))
+            if report.witness is None:
+                raise DecompositionError(
+                    f"low_alpha_vertex accepted the level of root {r}, "
+                    f"where the forward pass found alpha {a}"
+                )
+            if report.witness.kind == BICLIQUE:
+                return report.witness
+            raise ForbiddenStructureFound(
+                report.witness, "input contains an induced P5"
+            )
+        roots.append(r)
+        alive ^= 1 << r
+    td = single_bag_decomposition(members(alive))
+    for r in reversed(roots):
+        try:
+            td = saturate_root(g, r, td, ell, log)
+        except ForbiddenStructureFound as exc:
+            if exc.witness.kind == BICLIQUE:
+                return exc.witness
+            raise
+        nr = _root_neighbors(g, r, td)
+        t = find_bag_containing_set(td, nr)
+        if t is None:
+            raise DecompositionError(
+                "no bag holds all neighbors of the root after saturation"
+            )
+        td = td.with_leaf(t, vertex_set(nr + (r,)))
+    problems = validate(g, td)
+    if problems:
+        raise DecompositionError(f"final decomposition invalid: {problems[:3]}")
+    if td_alpha_exceeds(g, td, 4 * ell):
+        raise DecompositionError("final decomposition exceeds the bag bound")
+    return td
+
+
 def decompose(
     g: Graph,
     ell: int,
@@ -670,7 +776,8 @@ def decompose(
     Raises ForbiddenStructureFound if the graph contains an induced
     5-vertex path (checked up front when ``check_p5`` is set, and whenever
     an internal assertion uncovers one).  The forward pass picks the roots,
-    the backward pass adds them back; see the module docstring.
+    the backward pass adds them back; see the module docstring.  The forward
+    pass runs only up to the first level it rejects at ``ell``.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -678,40 +785,7 @@ def decompose(
         w = find_induced_path(g, 5)
         if w is not None:
             raise ForbiddenStructureFound(w, "input contains an induced P5")
-    alive = set(range(g.n))
-    roots: list[int] = []
-    while len(alive) >= 2:
-        report = low_alpha_vertex(g, ell, 2, within=alive)
-        if report.witness is not None:
-            if report.witness.kind == BICLIQUE:
-                return report.witness
-            raise ForbiddenStructureFound(
-                report.witness, "input contains an induced P5"
-            )
-        roots.append(report.vertex)
-        alive.remove(report.vertex)
-    td = single_bag_decomposition(alive)
-    for r in reversed(roots):
-        try:
-            td = saturate_root(g, r, td, ell, log)
-        except ForbiddenStructureFound as exc:
-            if exc.witness.kind == BICLIQUE:
-                return exc.witness
-            raise
-        nr = _level(g, r, td)[1]
-        t = find_bag_containing_set(td, nr)
-        if t is None:
-            raise DecompositionError(
-                "no bag holds all neighbors of the root after saturation"
-            )
-        bags = td.bags + (vertex_set(nr + (r,)),)
-        td = TreeDecomposition(td.edges + ((t, len(td.bags)),), bags)
-    problems = validate(g, td)
-    if problems:
-        raise DecompositionError(f"final decomposition invalid: {problems[:3]}")
-    if td_alpha_exceeds(g, td, 4 * ell):
-        raise DecompositionError("final decomposition exceeds the bag bound")
-    return td
+    return _decompose_levels(g, ell, _elimination_order(g), log)
 
 
 def approximate_tia(
@@ -719,9 +793,10 @@ def approximate_tia(
 ) -> tuple[int, TreeDecomposition, int]:
     """Constant-factor approximation of the tree-independence number.
 
-    Runs the engine for ell = 1, 2, ... and stops at the first decomposition
-    outcome.  Returns (bag independence k*, the decomposition, ell*); the
-    sandwich ell*-1 <= tree-alpha <= k* <= 4*ell* holds for P5-free inputs.
+    Runs the engine for ell = 2, 3, ... and stops at the first decomposition
+    outcome.  The forward pass runs once and every ell reuses its roots.
+    Returns (bag independence k*, the decomposition, ell*); the sandwich
+    ell*-1 <= tree-alpha <= k* <= 4*ell* holds for P5-free inputs.
     """
     w = find_induced_path(g, 5)
     if w is not None:
@@ -732,9 +807,10 @@ def approximate_tia(
         bags = tuple((v,) for v in range(g.n))
         edges = tuple((i, i + 1) for i in range(g.n - 1))
         return 1, TreeDecomposition(edges, bags), 1
+    levels = list(_elimination_order(g))
     ell = 2
     while True:
-        got = decompose(g, ell, check_p5=False, log=log)
+        got = _decompose_levels(g, ell, levels, log)
         if isinstance(got, TreeDecomposition):
             return td_alpha(g, got), got, ell
         ell += 1

@@ -209,12 +209,18 @@ def _mis_mask(bits: Sequence[int], mask: int, floor: int = -1) -> int:
             return iso if floor < 0 else -1
         comp = component(bits, mask)
         if comp != mask:
+            # Each component must beat the floor less the optima already
+            # found and the most the unsolved components could add.
             out = iso
             while mask:
-                out |= solve(comp, -1)
                 mask ^= comp
+                got = solve(comp, floor - mask.bit_count())
+                if got < 0:
+                    return -1
+                out |= got
+                floor -= got.bit_count()
                 comp = component(bits, mask)
-            return out if (out ^ iso).bit_count() > floor else -1
+            return out
         if floor > 0 and _clique_cover_bound(bits, mask) <= floor:
             return -1
         # pivot: max degree within mask, lowest id on ties

@@ -32,8 +32,9 @@ class TreeDecomposition:
     """A tree plus one bag per node.
 
     ``edges`` are tree edges between node ids ``0 .. len(bags)-1``.  The
-    subtree index is derived once by :func:`node_masks`: :meth:`node_mask`
-    is T(v), the nodes whose bag holds ``v``, as a bitmask of node ids.  The
+    subtree index is derived once by :func:`node_masks` (and extended, not
+    rebuilt, by :meth:`with_leaf`): :meth:`node_mask` is T(v), the nodes
+    whose bag holds ``v``, as a bitmask of node ids.  The
     rooted index (:class:`RootedIndex`, rooted at the last node) is built on
     first use and cached; every tree query reads it.  The path methods assume
     that the node graph is a tree and that each T(v) is connected, which
@@ -62,6 +63,33 @@ class TreeDecomposition:
             self, "_node_adj", tuple(tuple(sorted(x)) for x in adj)
         )
         object.__setattr__(self, "_masks", node_masks(self.bags))
+
+    def with_leaf(self, t: int, bag: VertexSet) -> "TreeDecomposition":
+        """This decomposition plus a new last node holding ``bag``, a leaf at ``t``.
+
+        Equal to ``TreeDecomposition(edges + ((t, k),), bags + (bag,))`` with
+        ``k = node_count``, but it extends the node adjacency and copies the
+        subtree index, setting only the new node's bit, instead of rebuilding
+        both.  The rooted index is not copied: the root is the last node, so
+        it moves to the new leaf.
+        """
+        k = len(self.bags)
+        if not 0 <= t < k:
+            raise ValueError(f"bad tree edge ({t},{k})")
+        adj = list(self._node_adj)
+        adj[t] += (k,)  # k exceeds every node id, so adj[t] stays sorted
+        adj.append((t,))
+        masks = dict(self._masks)
+        bit = 1 << k
+        for v in bag:
+            masks[v] = masks.get(v, 0) | bit
+        out = object.__new__(TreeDecomposition)
+        object.__setattr__(out, "edges", self.edges + ((t, k),))
+        object.__setattr__(out, "bags", self.bags + (bag,))
+        object.__setattr__(out, "_node_adj", tuple(adj))
+        object.__setattr__(out, "_masks", masks)
+        object.__setattr__(out, "_rooted", None)
+        return out
 
     @property
     def node_count(self) -> int:

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from treealpha import decomposer
+from treealpha import decomposer, oracles
 from treealpha.decomposer import (
     DecompositionError,
     PairContext,
@@ -104,6 +104,32 @@ def test_mis_mask_floor_returns_the_unpruned_set_or_nothing():
             for floor in range(-1, mask.bit_count() + 2):
                 want = best if best.bit_count() > floor else -1
                 assert _mis_mask(bits, mask, floor) == want, (g.n, mask, floor)
+
+
+def test_mis_mask_floor_carries_across_components(monkeypatch):
+    h = gen_p5_free(40, 3, "union-join")
+    g = Graph(160, [(u + 40 * i, v + 40 * i) for i in range(4) for u, v in h.edges()])
+    bits, full = g.adjacency_bits(), (1 << g.n) - 1
+    best = _mis_mask(bits, full)
+    alpha = best.bit_count()
+    assert alpha == 4 * alpha_mask(h, (1 << h.n) - 1)
+    searched = {}
+    for k in (-1, alpha - 1, alpha, alpha + 1):
+        calls = [0]
+
+        def counted(bits, mask, inner=oracles.component):
+            calls[0] += 1
+            return inner(bits, mask)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "component", counted)
+            assert _mis_mask(bits, full, k) == (best if alpha > k else -1), k
+            assert alpha_exceeds(g, full, k) == (alpha > k), k
+        searched[k] = calls[0]
+    # a "no" stops at the last copy, which cannot beat what the floor leaves
+    # it; a floor that every component ignored searched as much as k = -1
+    assert searched[alpha] < searched[-1]
+    assert searched[alpha + 1] < searched[-1]
 
 
 def test_td_alpha_exceeds_on_engine_decompositions(p5_kll_corpus):
