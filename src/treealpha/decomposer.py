@@ -22,9 +22,11 @@ every read of the graph in the restructuring stays inside it.
 
 Each restructuring step strictly grows the number of co-bagged neighbor
 pairs, so the loop finishes within (deg r choose 2) rounds.  Every structural
-fact the surgery relies on is asserted at run time; a failed assertion is
-converted into a verified witness (an induced path or biclique) that refutes
-the caller's promise about the input.
+fact the surgery relies on is asserted at run time, and a failed assertion
+refutes the caller's promise about the input with a verified witness.  A
+failed P5 claim raises the first induced P5 of the root's level (the claims
+speak only of vertices in it); a failed biclique claim builds its K_{ell,ell}
+from the two sides whose independent sets are too large.
 """
 
 from __future__ import annotations
@@ -35,12 +37,14 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import (
-    Graph, VertexSet, component, components, mask_of, members, vertex_set,
+    Graph, VertexSet, component, components, is_complete_between, mask_of,
+    members, vertex_set,
 )
 from .oracles import (
     BICLIQUE,
     ForbiddenStructureFound,
     Witness,
+    _induced_path_within,
     _mis_mask,
     alpha_exceeds,
     alpha_of_subset,  # unused here; bench/selftest.py reads it through this module
@@ -48,7 +52,6 @@ from .oracles import (
     find_induced_biclique,
     find_induced_path,
     max_independent_subset,
-    path_witness,
     verify_witness,
 )
 from .degeneracy import low_alpha_vertex
@@ -113,46 +116,17 @@ def _raise_with_witness(g: Graph, w: Witness, msg: str) -> None:
     raise ForbiddenStructureFound(w, msg)
 
 
-def _first_noncomplete(g: Graph, side_a, side_b) -> Optional[tuple[int, int]]:
-    for a in sorted(side_a):
-        for b in sorted(side_b):
-            if not g.adjacent(a, b):
-                return a, b
-    return None
+def _refute_p5(g: Graph, level: set[int], msg: str) -> None:
+    """Refute a failed P5 claim with the first induced P5 of G[level].
 
-
-def _adjacency_flip_on_path(
-    g: Graph, comp: VertexSet, w: int
-) -> tuple[int, int]:
-    """Adjacent c, c2 in comp with w adjacent to c but not to c2.
-
-    Exists whenever w sees part of the connected set comp but not all of it.
+    Every claim the surgeries make about a pair context holds unless the
+    level, which holds all the vertices the claim speaks of, contains an
+    induced P5; finding none there is an internal bug.
     """
-    inside = set(comp)
-    liked = [c for c in comp if g.adjacent(w, c)]
-    disliked = [c for c in comp if not g.adjacent(w, c)]
-    if not liked or not disliked:
-        raise DecompositionError("no adjacency flip available")
-    start = min(liked)
-    parent = {start: -1}
-    frontier = [start]
-    goal = None
-    while frontier and goal is None:
-        nxt: list[int] = []
-        for c in frontier:
-            for u in sorted(g.neighbors(c)):
-                if u in inside and u not in parent:
-                    parent[u] = c
-                    if not g.adjacent(w, u):
-                        goal = u
-                        break
-                    nxt.append(u)
-            if goal is not None:
-                break
-        frontier = nxt
-    if goal is None:
-        raise DecompositionError("component not connected; flip search failed")
-    return parent[goal], goal
+    w = _induced_path_within(g.adjacency_bits(), 5, mask_of(g, level))
+    if w is None:
+        raise DecompositionError(f"{msg}; the level has no induced P5 (internal bug)")
+    _raise_with_witness(g, w, msg)
 
 
 def _postcondition_failure(g: Graph, ell: int, msg: str) -> None:
@@ -252,54 +226,37 @@ def build_pair_context(
         and not alpha_exceeds(g, mask_of(g, nrx - ctx.nrbar[u]), ell - 1)
     }
 
-    _assert_component_structure(ctx, nrx, nry)
+    _assert_component_structure(ctx)
     if ctx.bad:
-        _assert_bad_pair_structure(ctx, nrx, nry)
+        _assert_bad_pair_structure(ctx)
     return ctx
 
 
-def _assert_component_structure(ctx: PairContext, nrx: set, nry: set) -> None:
+def _assert_component_structure(ctx: PairContext) -> None:
     """Component neighborhoods: inside U or the common outside set, and
-    components complete to their private-side attachments."""
-    g, r, x, y = ctx.g, ctx.root, ctx.x, ctx.y
+    components complete to their one-sided attachments."""
+    g, level = ctx.g, ctx.level
     for comp in ctx.comps:
-        nc = _rim(g, comp, ctx.level)
-        for w in sorted(nc - ctx.u_all - ctx.w_xy):
-            c = min(v for v in comp if g.adjacent(w, v))
+        nc = _rim(g, comp, level)
+        if stray := nc - ctx.u_all - ctx.w_xy:
+            w = min(stray)
             if w in ctx.w_x:
-                _raise_with_witness(
-                    g, path_witness((c, w, x, r, y)),
-                    "component touches a private neighbor of x",
-                )
+                _refute_p5(g, level, "component touches a private neighbor of x")
             if w in ctx.w_y:
-                _raise_with_witness(
-                    g, path_witness((c, w, y, r, x)),
-                    "component touches a private neighbor of y",
-                )
+                _refute_p5(g, level, "component touches a private neighbor of y")
             raise DecompositionError(
                 f"component neighbor {w} outside U and the common set"
             )
-        for u in sorted(nc & (ctx.u0 | ctx.ux | ctx.uy)):
-            if all(g.adjacent(u, c) for c in comp):
-                continue
-            c_adj, c_non = _adjacency_flip_on_path(g, comp, u)
-            other = y if u in ctx.u0 | ctx.ux else x
-            _raise_with_witness(
-                g, path_witness((c_non, c_adj, u, r, other)),
-                "component not complete to a one-sided attachment",
-            )
+        if not is_complete_between(g, nc & (ctx.u0 | ctx.ux | ctx.uy), comp):
+            _refute_p5(g, level, "component not complete to a one-sided attachment")
 
 
-def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
+def _assert_bad_pair_structure(ctx: PairContext) -> None:
     """The completeness web around a bad pair, plus the movability claims."""
-    g, r, x, y, ell = ctx.g, ctx.root, ctx.x, ctx.y, ctx.ell
-
-    bad_pair = _first_noncomplete(g, ctx.w_x, ctx.w_y)
-    if bad_pair is not None:
-        wx, wy = bad_pair
-        _raise_with_witness(
-            g, path_witness((wx, x, r, y, wy)),
-            "private sides of a bad pair are not complete to each other",
+    g, level, ell = ctx.g, ctx.level, ctx.ell
+    if not is_complete_between(g, ctx.w_x, ctx.w_y):
+        _refute_p5(
+            g, level, "private sides of a bad pair are not complete to each other"
         )
     if alpha_exceeds(g, mask_of(g, ctx.w_y), ell - 1):
         side_a = max_independent_subset(g, ctx.w_x)[:ell]
@@ -308,63 +265,22 @@ def _assert_bad_pair_structure(ctx: PairContext, nrx: set, nry: set) -> None:
             g, biclique_witness(side_a, side_b),
             "both private sides have large independent sets",
         )
-    for u_x in sorted(ctx.ux):
-        for u_y in sorted(ctx.uy):
-            if g.adjacent(u_x, u_y):
-                continue
-            out_x = sorted(ctx.nrbar[u_x] - nrx - nry)
-            out_y = sorted(ctx.nrbar[u_y] - nrx - nry)
-            common = sorted(set(out_x) & set(out_y))
-            if common:
-                _raise_with_witness(
-                    g, path_witness((x, u_x, common[0], u_y, y)),
-                    "one-sided attachments of x and y are not complete",
-                )
-            wx, wy = out_x[0], out_y[0]
-            if not g.adjacent(wx, wy):
-                _raise_with_witness(
-                    g, path_witness((wx, u_x, r, u_y, wy)),
-                    "one-sided attachments of x and y are not complete",
-                )
-            _raise_with_witness(
-                g, path_witness((x, u_x, wx, wy, u_y)),
-                "one-sided attachments of x and y are not complete",
-            )
-    for u in sorted(ctx.u0 | ctx.uy):
-        pair = _first_noncomplete(g, [u], ctx.w_x)
-        if pair is not None:
-            w_u = min(ctx.nrbar[u] - nrx - nry)
-            _raise_with_witness(
-                g, path_witness((pair[1], x, r, u, w_u)),
-                "outward neighbor of r misses a private neighbor of x",
-            )
-    for u in sorted(ctx.u0 | ctx.ux):
-        pair = _first_noncomplete(g, [u], ctx.w_y)
-        if pair is not None:
-            w_u = min(ctx.nrbar[u] - nrx - nry)
-            _raise_with_witness(
-                g, path_witness((pair[1], y, r, u, w_u)),
-                "outward neighbor of r misses a private neighbor of y",
-            )
+    if not is_complete_between(g, ctx.ux, ctx.uy):
+        _refute_p5(g, level, "one-sided attachments of x and y are not complete")
+    if not is_complete_between(g, ctx.u0 | ctx.uy, ctx.w_x):
+        _refute_p5(g, level, "outward neighbor of r misses a private neighbor of x")
+    if not is_complete_between(g, ctx.u0 | ctx.ux, ctx.w_y):
+        _refute_p5(g, level, "outward neighbor of r misses a private neighbor of y")
     for comp in ctx.comps:
-        for w in sorted(_rim(g, comp, ctx.level) & ctx.w_xy):
-            if all(g.adjacent(w, c) for c in comp):
-                continue
-            c_adj, c_non = _adjacency_flip_on_path(g, comp, w)
-            _raise_with_witness(
-                g, path_witness((c_non, c_adj, w, x, r)),
-                "component not complete to its common-side attachment",
+        if not is_complete_between(g, _rim(g, comp, level) & ctx.w_xy, comp):
+            _refute_p5(
+                g, level, "component not complete to its common-side attachment"
             )
     # movability claims
     for u0 in sorted(ctx.u0 - ctx.movable):
         s = ctx.w_xy - ctx.nrbar[u0]
-        pair = _first_noncomplete(g, ctx.w_x, s)
-        if pair is not None:
-            wx, ws = pair
-            _raise_with_witness(
-                g, path_witness((u0, wx, x, ws, y)),
-                "isolated-attachment vertex is not movable",
-            )
+        if not is_complete_between(g, ctx.w_x, s):
+            _refute_p5(g, level, "isolated-attachment vertex is not movable")
         side_a = max_independent_subset(g, ctx.w_x)[:ell]
         side_b = max_independent_subset(g, s)[:ell]
         if len(side_b) < ell:

@@ -91,9 +91,7 @@ def verify_witness(g: Graph, w: Witness) -> bool:
             (seq,) = w.parts
             if len(seq) < 1 or len(set(seq)) != len(seq):
                 return False
-            for v in seq:
-                if not (0 <= v < g.n):
-                    return False
+            mask_of(g, seq)  # ValueError for a non-vertex; a P1 has no edge to check
             for i, u in enumerate(seq):
                 for j in range(i + 1, len(seq)):
                     want = j == i + 1
@@ -120,9 +118,6 @@ def verify_witness(g: Graph, w: Witness) -> bool:
                 ends.extend(e)
             if len(set(ends)) != len(ends):
                 return False
-            for v in ends:
-                if not (0 <= v < g.n):
-                    return False
             for u, v in edges:
                 if not g.adjacent(u, v):
                     return False
@@ -385,12 +380,20 @@ def find_induced_path(g: Graph, t: int) -> Optional[Witness]:
     """
     if t < 1:
         raise ValueError("path length must be >= 1")
-    if t == 1:
-        return path_witness((0,)) if g.n >= 1 else None
-    bits = g.adjacency_bits()
-    for start in range(g.n):
+    return _induced_path_within(g.adjacency_bits(), t, (1 << g.n) - 1)
+
+
+def _induced_path_within(bits: Sequence[int], t: int, mask: int) -> Optional[Witness]:
+    """``find_induced_path``'s search with every vertex outside ``mask`` banned.
+
+    Its result is the first induced P_t of the subgraph induced by ``mask``
+    in that subgraph's own order, in host ids.  The comparison is ``<=`` so
+    that t = 1 yields the least masked vertex; longer paths have distinct
+    endpoints.
+    """
+    for start in members(mask):
         path = [start]
-        if _grow_path(bits, path, 1 << start, t - 1, lambda p: p[0] < p[-1]):
+        if _grow_path(bits, path, ~mask | 1 << start, t - 1, lambda p: p[0] <= p[-1]):
             return path_witness(path)
     return None
 

@@ -388,24 +388,28 @@ def parse_td(text: str) -> TreeDecomposition:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        parts = line.split()
-        if parts[0] == "td":
-            if count is not None or len(parts) != 2:
+        kind, *fields = line.split()
+        if kind not in ("td", "e", "b"):
+            raise ValueError(f"line {line_no}: unknown record {kind!r}")
+        try:
+            nums = [int(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-integer field: {line!r}") from None
+        if kind == "td":
+            if count is not None or len(nums) != 1:
                 raise ValueError(f"line {line_no}: malformed td header")
-            count = int(parts[1])
-        elif parts[0] == "e":
-            if len(parts) != 3:
+            count = nums[0]
+        elif kind == "e":
+            if len(nums) != 2:
                 raise ValueError(f"line {line_no}: malformed edge line")
-            edges.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "b":
-            if len(parts) < 2:
+            edges.append((nums[0], nums[1]))
+        else:
+            if not nums:
                 raise ValueError(f"line {line_no}: malformed bag line")
-            node = int(parts[1])
+            node = nums[0]
             if node in bags:
                 raise ValueError(f"line {line_no}: duplicate bag {node}")
-            bags[node] = vertex_set(int(v) for v in parts[2:])
-        else:
-            raise ValueError(f"line {line_no}: unknown record {parts[0]!r}")
+            bags[node] = vertex_set(nums[1:])
     if count is None:
         raise ValueError("missing td header")
     if set(bags) != set(range(count)):
