@@ -46,6 +46,7 @@ from .oracles import (
     Witness,
     _induced_path_within,
     _mis_mask,
+    alpha,
     alpha_exceeds,
     alpha_of_subset,  # unused here; bench/selftest.py reads it through this module
     biclique_witness,
@@ -624,7 +625,7 @@ def _elimination_order(g: Graph) -> Iterator[tuple[int, int]]:
     while alive & (alive - 1):
         r, comp, best = heappop(heap)
         bit = 1 << r
-        yield r, _mis_mask(bits, (bits[r] | bit) & alive).bit_count()
+        yield r, alpha(bits, (bits[r] | bit) & alive)
         alive ^= bit
         split(comp ^ bit, best ^ bit)
 

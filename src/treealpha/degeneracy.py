@@ -21,7 +21,7 @@ from .oracles import (
     DK2,
     MatchingResult,
     Witness,
-    alpha_of_subset,
+    alpha,
     biclique_witness,
     bipartite_max_matching,
     matching_witness,
@@ -370,15 +370,11 @@ def alpha_degeneracy(g: Graph) -> int:
     """
     if g.n == 0:
         raise ValueError("graph must be non-null")
-    remaining = set(range(g.n))
+    bits = g.adjacency_bits()
+    alive = (1 << g.n) - 1
     worst = 0
-    while remaining:
-        best_v, best_a = -1, None
-        for v in sorted(remaining):
-            nb = [u for u in g.neighbors(v) if u in remaining] + [v]
-            a = alpha_of_subset(g, nb)
-            if best_a is None or a < best_a:
-                best_v, best_a = v, a
-        worst = max(worst, best_a)
-        remaining.remove(best_v)
+    while alive:
+        a, v = min((alpha(bits, (bits[v] | 1 << v) & alive), v) for v in members(alive))
+        worst = max(worst, a)
+        alive ^= 1 << v
     return worst

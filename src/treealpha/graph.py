@@ -147,6 +147,18 @@ def component(bits: Sequence[int], mask: int) -> int:
     return comp
 
 
+def cocomponent(bits: Sequence[int], mask: int) -> int:
+    """The component of the lowest masked vertex in the complement, as a bitmask."""
+    frontier = mask & -mask
+    unseen = mask ^ frontier
+    while frontier and unseen:
+        low = frontier & -frontier
+        far = unseen & ~bits[low.bit_length() - 1]
+        unseen ^= far
+        frontier ^= low | far
+    return mask ^ unseen
+
+
 def open_neighborhood(g: Graph, v: int) -> VertexSet:
     """The neighbors of ``v``, excluding ``v`` itself."""
     return g.neighbors(v)

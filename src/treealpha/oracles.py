@@ -1,18 +1,26 @@
 """Exact combinatorial search primitives.
 
-Maximum independent set (branch and bound over bitmasks, with component
-splitting), bipartite maximum matching with a Konig vertex-cover certificate,
-and brute-force induced pattern detection, in the whole graph or through a
-given pair of vertices.  Everything here is exact and
-deterministic: exactness is mandatory because callers compare independence
-numbers against sharp thresholds, and determinism makes every downstream
-tie-break reproducible.
+Independence numbers and maximum independent sets over bitmasks, bipartite
+maximum matching with a Konig vertex-cover certificate, and brute-force
+induced pattern detection, in the whole graph or through a given pair of
+vertices.  Everything here is exact and deterministic: exactness is
+mandatory because callers compare independence numbers against sharp
+thresholds, and determinism makes every downstream tie-break reproducible.
+
+Independence numbers come from the value oracle ``alpha(bits, mask)``.  It
+takes each vertex of degree at most one (some maximum set holds a pendant
+vertex, which can stand in for its neighbor), sums over components, takes
+the maximum over co-components (in a join no independent set meets two of
+them), and only then branches on a maximum-degree vertex p:
+alpha(M) = max(1 + alpha(M - N[p]), alpha(M - p)).  It runs on an explicit
+stack, and its exact values are memoized by mask and shared by every call
+on the same adjacency tuple.
 
 The independent set returned is the first optimum in branching order: the
-first maximum-size leaf, in depth-first order, of the tree that branches on a
-maximum-degree vertex (lowest id on ties) with the include branch first.
-Neither the bound nor component splitting changes that leaf (see
-``_mis_mask``), and the engine's root choice ``min(MIS)`` depends on it.
+first maximum-size leaf, in depth-first order, of the tree that branches on
+a maximum-degree vertex (lowest id on ties) with the include branch first.
+``_mis_mask`` finds it by descent, and the engine's root choice ``min(MIS)``
+depends on it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import (
-    Graph, VertexSet, component, is_independent, mask_of, members, vertex_set
+    Graph, VertexSet, cocomponent, component, is_independent, mask_of, members,
+    vertex_set,
 )
 
 
@@ -147,116 +156,149 @@ def verify_witness(g: Graph, w: Witness) -> bool:
 
 # -- exact independent sets ------------------------------------------------
 
+# The shared memo: an adjacency tuple and its alphas by mask.  Holding the
+# tuple keeps its identity from passing to another object.
+_slot: list = [(), {}]
 
-def _clique_cover_bound(bits: Sequence[int], mask: int) -> int:
-    """Greedy clique cover of the masked vertices; its size bounds alpha."""
-    cliques: list[int] = []
-    m = mask
+
+def _memo(bits: Sequence[int]) -> dict[int, int]:
+    """The shared memo of the tuple ``bits``; a list, which may change, gets a new one."""
+    if type(bits) is not tuple:
+        return {}
+    held, memo = _slot  # one read, so another thread's swap cannot split it
+    if held is not bits:
+        memo = {}
+        _slot[:] = bits, memo
+    return memo
+
+
+def _pieces(
+    cut: Callable[[Sequence[int], int], int], bits: Sequence[int], m: int
+) -> list[int]:
+    """``m`` cut into its components, or co-components, by ``cut``."""
+    out = []
     while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        nb = bits[v]
-        for i, c in enumerate(cliques):
-            if c & ~nb == 0:  # v adjacent to every current member
-                cliques[i] = c | (1 << v)
-                break
+        out.append(cut(bits, m))
+        m ^= out[-1]
+    return out
+
+
+def _split(bits: Sequence[int], m: int) -> tuple[int, list[int], bool]:
+    """alpha(m) as ``base`` plus the sum, or with ``join`` the max, over ``parts``."""
+    base = 0
+    todo = m
+    while todo:  # take each vertex of degree at most one, and drop its neighbor
+        low = todo & -todo
+        todo ^= low
+        nb = bits[low.bit_length() - 1] & m
+        if low & m and not nb & (nb - 1):
+            base += 1
+            m ^= low | nb
+            if nb:  # the neighbor's other neighbors lose a degree
+                todo |= bits[nb.bit_length() - 1] & m
+    parts = _pieces(component, bits, m)
+    if len(parts) > 1 or not m:
+        return base, parts, False
+    parts = _pieces(cocomponent, bits, m)
+    if len(parts) > 1:  # a single vertex adds 1, the least the max can be
+        return base, [c for c in parts if c & (c - 1)], True
+    vs = members(m)
+    degrees = [(bits[v] & m).bit_count() for v in vs]
+    p = vs[degrees.index(max(degrees))]
+    return base, [m & ~bits[p], m ^ 1 << p], True  # p stays, isolated, in M - N(p)
+
+
+def _alpha(bits: Sequence[int], mask: int, memo: dict[int, int]) -> int:
+    """alpha of the masked subgraph; a mask waits on the stack for its parts."""
+    if mask in memo:
+        return memo[mask]
+    plans: dict[int, tuple[int, list[int], bool]] = {}
+    stack = [mask]
+    while stack:
+        m = stack[-1]
+        if m in memo:
+            stack.pop()
+            continue
+        if m not in plans:
+            plans[m] = _split(bits, m)
+        base, parts, join = plans[m]
+        missing = [c for c in parts if c not in memo]
+        if missing:
+            stack += missing
         else:
-            cliques.append(1 << v)
-    return len(cliques)
+            values = [memo[c] for c in parts]
+            memo[m] = base + (max(values, default=1) if join else sum(values))
+    return memo[mask]
+
+
+def alpha(bits: Sequence[int], mask: int) -> int:
+    """The independence number of the subgraph induced by ``mask``."""
+    return _alpha(bits, mask, _memo(bits))
 
 
 def _mis_mask(bits: Sequence[int], mask: int, floor: int = -1) -> int:
-    """Maximum independent set of the masked subgraph, as a bitmask.
+    """The first maximum independent set of the masked subgraph, as a bitmask.
 
-    Returns the first optimum in branching order.  The branching tree strips
-    the vertices isolated within the mask, then branches on a maximum-degree
-    vertex (ties to the lowest id), include branch first.  The result is the
-    first maximum-size leaf of that tree, unpruned, in depth-first order.
-    Pruning by a valid upper bound keeps that leaf, since no subtree holding
-    it can be cut.
-
-    ``solve(mask, floor)`` returns that leaf if it has more than ``floor``
-    vertices, else -1.  A disconnected mask is solved one component at a time
-    and the results are united, which returns the same set.  The union's
-    pivot lies in one component and is that component's own pivot, so the
-    union's tree interleaves the components' trees: two of its leaves first
-    differ where they differ in one component's tree.  Hence the first
-    maximum leaf of the union is the union of the components' first maximum
-    leaves.
-
-    Returns ``solve(mask, floor)``; the default ``floor=-1`` always yields the
-    optimum.
+    Returns -1 instead when alpha does not beat ``floor``.  The branching
+    tree takes the vertices isolated within M, solves a disconnected M one
+    component at a time, and otherwise branches on a maximum-degree vertex
+    p (lowest id on ties), include branch first.  The include branch holds
+    a maximum leaf exactly when 1 + alpha(M - N[p]) equals alpha(M), so the
+    descent takes it then and the exclude branch otherwise, and ends at the
+    first maximum leaf.  Two leaves of a union first differ where they
+    differ in one component's tree, so the union's first maximum leaf is
+    the union of its components' ones.  A co-component whose alpha is
+    below alpha(M) is dropped: its pivots are all excluded, and their
+    degrees shift every other degree alike, so the rest of the tree keeps
+    its order.
     """
-
-    def solve(mask: int, floor: int) -> int:
-        # vertices isolated within mask are in every optimum
-        iso = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            if not bits[low.bit_length() - 1] & mask:
-                iso |= low
-        if iso:
-            mask ^= iso
-            floor -= iso.bit_count()
-        if not mask:
-            return iso if floor < 0 else -1
-        comp = component(bits, mask)
-        if comp != mask:
-            # Each component must beat the floor less the optima already
-            # found and the most the unsolved components could add.
-            out = iso
-            while mask:
-                mask ^= comp
-                got = solve(comp, floor - mask.bit_count())
-                if got < 0:
-                    return -1
-                out |= got
-                floor -= got.bit_count()
-                comp = component(bits, mask)
-            return out
-        if floor > 0 and _clique_cover_bound(bits, mask) <= floor:
-            return -1
-        # pivot: max degree within mask, lowest id on ties
-        pivot = pdeg = -1
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            d = (bits[v] & mask).bit_count()
-            if d > pdeg:
-                pivot, pdeg = v, d
-        p = 1 << pivot
-        inc = solve(mask & ~(bits[pivot] | p), floor - 1)
-        if inc >= 0:
-            inc |= p
-            floor = inc.bit_count()
-        exc = solve(mask ^ p, floor)
-        if exc >= 0:
-            return exc | iso
-        return inc | iso if inc >= 0 else -1
-
-    return solve(mask, floor)
+    memo = _memo(bits)
+    a = _alpha(bits, mask, memo)
+    if a <= floor:
+        return -1
+    out = 0
+    todo = [(mask, a)]
+    while todo:
+        m, a = todo.pop()
+        if a > 1:
+            vs = members(m)
+            degrees = [(bits[v] & m).bit_count() for v in vs]
+            iso = sum(1 << v for v, d in zip(vs, degrees) if not d)
+            out |= iso
+            m ^= iso
+            a -= iso.bit_count()
+        if a <= 1:  # nothing, or a clique: every degree ties, so p is the lowest
+            out |= m & -m
+            continue
+        parts = _pieces(component, bits, m)
+        if len(parts) > 1:
+            todo += [(c, _alpha(bits, c, memo)) for c in parts]
+            continue
+        parts = _pieces(cocomponent, bits, m)
+        keep = m
+        if parts[1:]:  # the union of those that reach alpha(M); no single vertex does
+            keep = sum(c for c in parts if c & (c - 1) and _alpha(bits, c, memo) == a)
+        if keep != m:
+            todo.append((keep, a))
+            continue
+        p = vs[degrees.index(max(degrees))]  # stripping changed no degree
+        include = m & ~bits[p]  # p is isolated there, so the next round takes it
+        todo.append((include, a) if _alpha(bits, include, memo) == a else (m ^ 1 << p, a))
+    return out
 
 
 def max_independent_set(g: Graph) -> VertexSet:
     """A maximum independent set, deterministic across runs."""
-    full = (1 << g.n) - 1
-    chosen = _mis_mask(g.adjacency_bits(), full)
-    return members(chosen)
+    return members(_mis_mask(g.adjacency_bits(), (1 << g.n) - 1))
 
 
 def alpha_mask(g: Graph, mask: int) -> int:
-    if mask == 0:
-        return 0
-    return _mis_mask(g.adjacency_bits(), mask).bit_count()
+    return alpha(g.adjacency_bits(), mask)
 
 
 def alpha_exceeds(g: Graph, mask: int, k: int) -> bool:
     """Whether the masked subgraph has an independent set of more than ``k``."""
-    return mask.bit_count() > k and _mis_mask(g.adjacency_bits(), mask, k) >= 0
+    return mask.bit_count() > k and alpha(g.adjacency_bits(), mask) > k
 
 
 def alpha_of_subset(g: Graph, s: Iterable[int]) -> int:

@@ -245,17 +245,16 @@ def validate(
 
 def td_alpha(g: Graph, td: TreeDecomposition) -> int:
     """Independence number of the decomposition: max alpha over bags."""
-    masks = {mask_of(g, bag) for bag in td.bags}
-    return max((alpha_mask(g, m) for m in masks), default=0)
+    return max((alpha_mask(g, mask_of(g, bag)) for bag in td.bags), default=0)
 
 
 def td_alpha_exceeds(g: Graph, td: TreeDecomposition, k: int) -> bool:
     """Whether some bag has an independent set of more than ``k`` vertices.
 
-    The decision form of ``td_alpha(g, td) > k``; each distinct bag is
-    searched once, and only until the bound is settled.
+    The decision form of ``td_alpha(g, td) > k``; it stops at the first bag
+    past the bound, and a repeated bag reads the value oracle's memo.
     """
-    return any(alpha_exceeds(g, m, k) for m in {mask_of(g, bag) for bag in td.bags})
+    return any(alpha_exceeds(g, mask_of(g, bag), k) for bag in td.bags)
 
 
 def cobagged_pairs(td: TreeDecomposition, s: Iterable[int]) -> set[frozenset[int]]:
@@ -396,7 +395,7 @@ def parse_td(text: str) -> TreeDecomposition:
         except ValueError:
             raise ValueError(f"line {line_no}: non-integer field: {line!r}") from None
         if kind == "td":
-            if count is not None or len(nums) != 1:
+            if count is not None or len(nums) != 1 or nums[0] < 0:
                 raise ValueError(f"line {line_no}: malformed td header")
             count = nums[0]
         elif kind == "e":

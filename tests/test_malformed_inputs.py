@@ -65,3 +65,15 @@ def test_check_td_exits_1_on_a_non_integer_field(tmp_path, capsys):
     bad.write_text("td 1\nb 0 0 x\n")
     assert main(["check-td", str(gr), str(bad)]) == 1
     assert capsys.readouterr().err.startswith("line 2: non-integer field")
+
+
+def test_a_negative_node_count_is_a_malformed_header(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^line 1: malformed td header$"):
+        parse_td("td -1\n")
+    assert parse_td("td 0\n").node_count == 0
+    gr = tmp_path / "k2.gr"
+    gr.write_text(serialize_graph(Graph(2, [(0, 1)])))
+    bad = tmp_path / "negative.td"
+    bad.write_text("td -1\n")
+    assert main(["check-td", str(gr), str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("line 1: malformed td header")
