@@ -20,20 +20,23 @@ level) off that bag as a new leaf.  The decomposition handed to each step
 covers exactly the level minus r, so the level is read off its bags, and
 every read of the graph in the restructuring stays inside it.
 
-Each restructuring step strictly grows the number of co-bagged neighbor
-pairs, so the loop finishes within (deg r choose 2) rounds.  Every structural
-fact the surgery relies on is asserted at run time, and a failed assertion
-refutes the caller's promise about the input with a verified witness.  A
-failed P5 claim raises the first induced P5 of the root's level (the claims
-speak only of vertices in it); a failed biclique claim builds its K_{ell,ell}
-from the two sides whose independent sets are too large.
+Each restructuring step, a plain-pair or a bad-pair surgery, builds its
+master bags, hangs one copy of the tree per outside component off them
+(``_append_copy``) and checks the result in one place.  It strictly grows the
+set of co-bagged neighbor pairs, so the loop ends within (deg r choose 2)
+rounds.  Every structural fact the surgery relies on is asserted at run time,
+and a failed assertion refutes the caller's promise about the input with a
+verified witness: the first induced P5 of the root's level (``_refute_p5``),
+or the K_{ell,ell} between the two sides a biclique claim compares
+(``_refute_biclique``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heappop, heappush
-from math import comb
+from operator import and_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import (
@@ -128,6 +131,21 @@ def _refute_p5(g: Graph, level: set[int], msg: str) -> None:
     if w is None:
         raise DecompositionError(f"{msg}; the level has no induced P5 (internal bug)")
     _raise_with_witness(g, w, msg)
+
+
+def _refute_biclique(g: Graph, a: set[int], b: set[int], ell: int, msg: str) -> None:
+    """Refute a failed biclique claim with a K_{ell,ell} between ``a`` and ``b``.
+
+    The claim has checked the sides disjoint and complete to each other; each
+    side gives the first ell vertices of its first maximum independent set.
+    """
+    side_a = max_independent_subset(g, a)[:ell]
+    side_b = max_independent_subset(g, b)[:ell]
+    if min(len(side_a), len(side_b)) < ell:
+        raise DecompositionError(
+            f"{msg}; a side has no {ell} independent vertices (internal bug)"
+        )
+    _raise_with_witness(g, biclique_witness(side_a, side_b), msg)
 
 
 def _postcondition_failure(g: Graph, ell: int, msg: str) -> None:
@@ -240,14 +258,13 @@ def _assert_component_structure(ctx: PairContext) -> None:
     for comp in ctx.comps:
         nc = _rim(g, comp, level)
         if stray := nc - ctx.u_all - ctx.w_xy:
-            w = min(stray)
-            if w in ctx.w_x:
+            # comp is a component of the level minus M and r, and M holds
+            # N(r), so the rim lies in M.  A rim vertex in N(r) sees comp,
+            # which lies outside N[r] and M, so it is in U.  So a stray
+            # vertex is in M - N(r) - W_xy: in W_x or in W_y.
+            if min(stray) in ctx.w_x:
                 _refute_p5(g, level, "component touches a private neighbor of x")
-            if w in ctx.w_y:
-                _refute_p5(g, level, "component touches a private neighbor of y")
-            raise DecompositionError(
-                f"component neighbor {w} outside U and the common set"
-            )
+            _refute_p5(g, level, "component touches a private neighbor of y")
         if not is_complete_between(g, nc & (ctx.u0 | ctx.ux | ctx.uy), comp):
             _refute_p5(g, level, "component not complete to a one-sided attachment")
 
@@ -260,11 +277,8 @@ def _assert_bad_pair_structure(ctx: PairContext) -> None:
             g, level, "private sides of a bad pair are not complete to each other"
         )
     if alpha_exceeds(g, mask_of(g, ctx.w_y), ell - 1):
-        side_a = max_independent_subset(g, ctx.w_x)[:ell]
-        side_b = max_independent_subset(g, ctx.w_y)[:ell]
-        _raise_with_witness(
-            g, biclique_witness(side_a, side_b),
-            "both private sides have large independent sets",
+        _refute_biclique(
+            g, ctx.w_x, ctx.w_y, ell, "both private sides have large independent sets"
         )
     if not is_complete_between(g, ctx.ux, ctx.uy):
         _refute_p5(g, level, "one-sided attachments of x and y are not complete")
@@ -282,15 +296,8 @@ def _assert_bad_pair_structure(ctx: PairContext) -> None:
         s = ctx.w_xy - ctx.nrbar[u0]
         if not is_complete_between(g, ctx.w_x, s):
             _refute_p5(g, level, "isolated-attachment vertex is not movable")
-        side_a = max_independent_subset(g, ctx.w_x)[:ell]
-        side_b = max_independent_subset(g, s)[:ell]
-        if len(side_b) < ell:
-            raise DecompositionError(
-                "unmovable isolated attachment without a large independent set"
-            )
-        _raise_with_witness(
-            g, biclique_witness(side_a, side_b),
-            "isolated-attachment vertex is not movable",
+        _refute_biclique(
+            g, ctx.w_x, s, ell, "isolated-attachment vertex is not movable"
         )
     for u_y in sorted(ctx.uy):
         if u_y not in ctx.movable and not ctx.td.node_mask(u_y) >> ctx.t_y & 1:
@@ -357,10 +364,9 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     the tree carrying its local bags.  Apart from validity, the result keeps
     every co-bagged neighbor pair of r and adds (x, y).
     """
-    g, td, ell = ctx.g, ctx.td, ctx.ell
+    g, td = ctx.g, ctx.td
     if ctx.bad:
         raise ValueError("plain transform requires a non-bad pair")
-    k = td.node_count
     master: list[set[int]] = [set(bag) & ctx.m for bag in td.bags]
     for u in sorted(ctx.u_all):
         span = td.subtree(u)
@@ -377,17 +383,9 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     add_free = ctx.u_all - ctx.uxy
     for comp in ctx.comps:
         rim = _rim(g, comp, ctx.level)
-        closed = set(comp) | rim
-        extra = rim & add_free
-        offset = len(bags)
-        for t in range(k):
-            bags.append(tuple(sorted((set(td.bags[t]) & closed) | extra)))
-        edges.extend((a + offset, b + offset) for a, b in td.edges)
-        edges.append((ctx.t_y, offset + ctx.t_y))
-
+        _append_copy(td, bags, edges, set(comp) | rim, rim & add_free, ctx.t_y, ctx.t_y)
     out = TreeDecomposition(tuple(edges), tuple(bags))
-    _check_surgery_output(ctx, out, "plain-pair surgery")
-    return out
+    return _check_surgery_output(ctx, out, "plain-pair surgery")
 
 
 def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
@@ -419,41 +417,28 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     pulled: set[int] = set()
     for c in sorted(ctx.level - ctx.m - {r}):
         marks = [subtree_of[a] for a in g.neighbors(c) if a in ctx.m]
-        if not marks:
+        if not marks or reduce(and_, marks):  # none, or one master bag holds all
             continue
-        common = marks[0]
-        for sm in marks[1:]:
-            common &= sm
-        if common:
-            continue
-        nodes = _forced_nodes(td, parent, below, marks)
-        for t in nodes:
+        for t in _forced_nodes(td, parent, below, marks):
             final[t].add(c)
         pulled.add(c)
 
-    comp_of = {v: i for i, comp in enumerate(ctx.comps) for v in comp}
-
-    # anchor node per original outside component
+    # anchor node per original outside component, by vertex
     final_masks = node_masks(final)
-    anchors: list[int] = []
+    anchor_of: dict[int, int] = {}
     for comp in ctx.comps:
-        inside = set(comp)
         key = sorted(_rim(g, comp, ctx.level) - ctx.uxy)
-        fit = (1 << k) - 1
-        for v in key:
-            fit &= final_masks[v]
+        fit = reduce(and_, (final_masks[v] for v in key), (1 << k) - 1)
         if fit:
             t_c = min(members(fit), key=lambda t: (len(td.tree_path(ctx.t_x, t)), t))
         else:
             t_c = _split_anchor(td, final_masks, key)
-        c_prime = inside & pulled
-        c_second = inside - pulled
-        missing = [v for v in sorted(c_prime) if not final_masks[v] >> t_c & 1]
+        missing = [v for v in comp if v in pulled and not final_masks[v] >> t_c & 1]
         if missing:
             _postcondition_failure(
                 g, ell, f"pulled vertices {missing} missed their anchor bag"
             )
-        for d in sorted(c_second):
+        for d in sorted(set(comp) - pulled):
             for a in g.neighbors(d):
                 if a in ctx.m and a not in final[t_c]:
                     _postcondition_failure(
@@ -461,26 +446,32 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
                         f"attachment {a} of a remaining outside vertex {d} "
                         "missed the anchor bag",
                     )
-        anchors.append(t_c)
+        anchor_of.update(dict.fromkeys(comp, t_c))
 
     bags: list[VertexSet] = [tuple(sorted(b)) for b in final]
     edges: list[tuple[int, int]] = list(td.edges)
-    m_prime = ctx.m | pulled
-    rest = sorted(ctx.level - m_prime - {r})
+    rest = sorted(ctx.level - ctx.m - pulled - {r})
     for dcomp in components(g, rest):
-        nd = _rim(g, dcomp, ctx.level)
-        spread = nd - ctx.uxy
-        offset = len(bags)
-        closed = set(dcomp) | nd
-        for t in range(k):
-            bags.append(tuple(sorted((set(td.bags[t]) & closed) | spread)))
-        edges.extend((a + offset, b + offset) for a, b in td.edges)
-        anchor = anchors[comp_of[min(dcomp)]]
-        edges.append((anchor, offset + ctx.t_x))
-
+        rim = _rim(g, dcomp, ctx.level)
+        anchor = anchor_of[dcomp[0]]
+        _append_copy(td, bags, edges, set(dcomp) | rim, rim - ctx.uxy, anchor, ctx.t_x)
     out = TreeDecomposition(tuple(edges), tuple(bags))
-    _check_surgery_output(ctx, out, "bad-pair surgery")
-    return out
+    return _check_surgery_output(ctx, out, "bad-pair surgery")
+
+
+def _append_copy(
+    td: TreeDecomposition, bags: list[VertexSet], edges: list[tuple[int, int]],
+    keep: set[int], spread: set[int], anchor: int, at: int,
+) -> None:
+    """Append an outside component's copy of ``td`` to ``bags`` and ``edges``.
+
+    Each bag is cut to ``keep`` (the component and its rim) plus ``spread``,
+    and the copy's node ``at`` is joined to master node ``anchor``.
+    """
+    offset = len(bags)
+    bags.extend(tuple(sorted((set(bag) & keep) | spread)) for bag in td.bags)
+    edges.extend((a + offset, b + offset) for a, b in td.edges)
+    edges.append((anchor, offset + at))
 
 
 def _rooted_masks(td: TreeDecomposition) -> tuple[Sequence[int], list[int]]:
@@ -533,7 +524,8 @@ def _split_anchor(
 
 def _check_surgery_output(
     ctx: PairContext, out: TreeDecomposition, label: str
-) -> None:
+) -> TreeDecomposition:
+    """``out``, once it is checked valid, within the bag bound and co-bagging x, y."""
     g, ell, r = ctx.g, ctx.ell, ctx.root
     problems = validate(g, out, ctx.level - {r})
     if problems:
@@ -542,6 +534,7 @@ def _check_surgery_output(
         _postcondition_failure(g, ell, f"{label} exceeded the 4*ell bag bound")
     if not out.node_mask(ctx.x) & out.node_mask(ctx.y):
         raise DecompositionError(f"{label} failed to co-bag the chosen pair")
+    return out
 
 
 # -- the saturation loop and the full pipeline --------------------------------
@@ -557,15 +550,14 @@ def saturate_root(
     """Restructure until every pair of neighbors of r in its level shares a bag.
 
     ``td`` decomposes the level of r minus r.  Each round merges the
-    selected pair and strictly grows the set of co-bagged neighbor pairs, so
-    at most (deg r choose 2) rounds run.  The decomposition is compressed
-    between rounds; compression never drops a co-bagged pair.  A round's
-    co-bagged pairs after compression, checked equal to those before it, are
-    the next round's starting set.
+    selected pair (the surgery's check raises unless x and y then share a
+    bag) and compresses; the round's co-bagged pairs, checked to grow
+    strictly in the surgery and to survive compression, are the next round's
+    start.  So they grow every round, and since they are drawn from the
+    C(d, 2) pairs of N(r), d = deg r, the loop ends within C(d, 2) rounds.
     """
     nr = _root_neighbors(g, r, td)
     entry = {"root": r, "degree": len(nr), "iterations": 0, "pairs": []}
-    limit = comb(len(nr), 2)
     before = None
     while (sel := select_pair(g, r, td, ell)) is not None:
         x, y, bad = sel
@@ -574,7 +566,7 @@ def saturate_root(
         ctx = build_pair_context(g, r, td, x, y, ell)
         new_td = transform_bad_pair(ctx) if bad else transform_plain_pair(ctx)
         after = cobagged_pairs(new_td, nr)
-        if not (before < after and frozenset((x, y)) in after):
+        if not before < after:
             raise DecompositionError(
                 "surgery did not strictly grow the co-bagged pairs"
             )
@@ -584,10 +576,6 @@ def saturate_root(
             raise DecompositionError("compression changed the co-bagged pairs")
         entry["iterations"] += 1
         entry["pairs"].append((x, y, bad, "bad" if bad else "plain"))
-        if entry["iterations"] > limit:
-            raise DecompositionError(
-                f"saturation exceeded {limit} rounds for degree {len(nr)}"
-            )
     if log is not None:
         log.append(entry)
     return td

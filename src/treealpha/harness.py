@@ -72,7 +72,6 @@ def exact_tia(g: Graph, cap: Optional[int] = None) -> int:
     def bag_alpha(v: int, eliminated: int) -> int:
         # component of eliminated vertices reachable from v, then its rim
         seen = 1 << v
-        frontier = 1 << v
         reach = bits[v]
         while True:
             inner = reach & eliminated & ~seen
@@ -143,27 +142,32 @@ def induced_biclique_number(g: Graph) -> int:
 # -- forbidden-pattern specifications ------------------------------------------
 
 
+# each pattern name: its number of size fields, and the pattern they build
+_PATTERNS = {
+    "path": (1, lambda t: ("path", t)),
+    "p": (1, lambda t: ("path", t)),
+    "p5": (0, lambda: ("path", 5)),
+    "biclique": (2, lambda a, b: ("biclique", a, b)),
+    "kll": (1, lambda k: ("biclique", k, k)),
+    "k2l": (1, lambda k: ("biclique", 2, k)),
+    "substar": (1, lambda d: ("substar", d)),
+}
+
+
 def parse_pattern(text: str) -> tuple:
     """Parse ``path:T``, ``biclique:A:B``, ``kll:L``, ``k2l:L``, ``substar:D``."""
     kind, *args = text.strip().lower().split(":")
+    if kind not in _PATTERNS:
+        raise ValueError(f"unknown pattern {text!r}")
+    fields, build = _PATTERNS[kind]
+    if len(args) < fields:
+        raise ValueError(f"pattern {text!r} is missing a size")
+    if len(args) > fields:
+        raise ValueError(f"pattern {text!r} has too many fields")
     try:
-        if kind in ("path", "p"):
-            return ("path", int(args[0]))
-        if kind == "p5":
-            return ("path", 5)
-        if kind == "biclique":
-            return ("biclique", int(args[0]), int(args[1]))
-        if kind == "kll":
-            return ("biclique", int(args[0]), int(args[0]))
-        if kind == "k2l":
-            return ("biclique", 2, int(args[0]))
-        if kind == "substar":
-            return ("substar", int(args[0]))
-    except IndexError:
-        raise ValueError(f"pattern {text!r} is missing a size") from None
+        return build(*map(int, args))
     except ValueError:
         raise ValueError(f"pattern {text!r} has a non-integer size") from None
-    raise ValueError(f"unknown pattern {text!r}")
 
 
 def find_pattern(g: Graph, pattern: tuple) -> Optional[Witness]:

@@ -90,68 +90,45 @@ class ForbiddenStructureFound(Exception):
         self.witness = witness
 
 
+def _shape(w: Witness) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The vertices a witness names and the edges they must induce.
+
+    Raises ValueError or TypeError when the parts do not fit the kind.
+    """
+    parts = tuple(tuple(p) for p in w.parts)
+    if not parts or not all(parts):
+        raise ValueError("empty witness part")
+    if w.kind == PATH:
+        (seq,) = parts
+        return seq, list(zip(seq, seq[1:]))
+    if w.kind == BICLIQUE:
+        a, b = parts
+        return a + b, [(u, v) for u in a for v in b]
+    if w.kind in (DK2, MATCHING) and all(len(e) == 2 for e in parts):
+        return sum(parts, ()), list(parts)
+    if w.kind == SUBSTAR:
+        (center,), *rays = parts
+        if rays and all(len(ray) == 2 for ray in rays):
+            return (center,) + sum(rays, ()), [(center, mid) for mid, _ in rays] + rays
+    raise ValueError(f"malformed {w.kind!r} witness")
+
+
 def verify_witness(g: Graph, w: Witness) -> bool:
-    """Check a witness against ``g``: all required edges and non-edges.
+    """Check a witness against ``g``: distinct vertices inducing exactly its edges.
 
     Never raises; False is the failure signal (including malformed input).
     """
     try:
-        if w.kind == PATH:
-            (seq,) = w.parts
-            if len(seq) < 1 or len(set(seq)) != len(seq):
-                return False
-            mask_of(g, seq)  # ValueError for a non-vertex; a P1 has no edge to check
-            for i, u in enumerate(seq):
-                for j in range(i + 1, len(seq)):
-                    want = j == i + 1
-                    if g.adjacent(u, seq[j]) != want:
-                        return False
-            return True
-        if w.kind == BICLIQUE:
-            a, b = w.parts
-            if not a or not b:
-                return False
-            if set(a) & set(b):
-                return False
-            if not (is_independent(g, a) and is_independent(g, b)):
-                return False
-            return all(g.adjacent(u, v) for u in a for v in b)
-        if w.kind in (DK2, MATCHING):
-            edges = w.parts
-            if not edges:
-                return False
-            ends: list[int] = []
-            for e in edges:
-                if len(e) != 2:
-                    return False
-                ends.extend(e)
-            if len(set(ends)) != len(ends):
-                return False
-            for u, v in edges:
-                if not g.adjacent(u, v):
-                    return False
-            for i, e in enumerate(edges):
-                for f in edges[i + 1 :]:
-                    if any(g.adjacent(p, q) for p in e for q in f):
-                        return False
-            return True
-        if w.kind == SUBSTAR:
-            (center,), *rays = w.parts
-            verts = (center,) + tuple(v for ray in rays for v in ray)
-            if not rays or any(len(ray) != 2 for ray in rays):
-                return False
-            if len(set(verts)) != len(verts):
-                return False
-            edges = {frozenset(ray) for ray in rays}
-            edges |= {frozenset((center, mid)) for mid, _ in rays}
-            return all(
-                g.adjacent(u, v) == (frozenset((u, v)) in edges)
-                for i, u in enumerate(verts)
-                for v in verts[i + 1 :]
-            )
-        return False
+        vs, edges = _shape(w)
+        mask = mask_of(g, vs)  # ValueError for a non-vertex
+        want = dict.fromkeys(vs, 0)
+        for u, v in edges:
+            want[u] |= 1 << v
+            want[v] |= 1 << u
     except (ValueError, TypeError):
         return False
+    bits = g.adjacency_bits()
+    return mask.bit_count() == len(vs) and all(bits[v] & mask == want[v] for v in vs)
 
 
 # -- exact independent sets ------------------------------------------------
@@ -332,8 +309,9 @@ class MatchingResult:
 def bipartite_max_matching(g: Graph, x: Iterable[int], y: Iterable[int]) -> MatchingResult:
     """Maximum matching between independent sides ``x`` and ``y``.
 
-    Augmenting-path search; the cover comes from the final alternating
-    reachability layering, so |edges| == |cover| always holds.
+    Augmenting-path search, depth first on an explicit stack; the cover
+    comes from the final alternating reachability layering, so
+    |edges| == |cover| always holds.
     """
     xs, ys = vertex_set(x), vertex_set(y)
     if set(xs) & set(ys):
@@ -347,19 +325,24 @@ def bipartite_max_matching(g: Graph, x: Iterable[int], y: Iterable[int]) -> Matc
     match_x: dict[int, int] = {}
     match_y: dict[int, int] = {}
 
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_y or augment(match_y[v], seen):
-                match_x[u] = v
-                match_y[v] = u
-                return True
-        return False
-
-    for u in xs:
-        augment(u, set())
+    for root in xs:
+        # x-vertices of the search path with their untried neighbors, and the
+        # y-vertex each one but the last was left through
+        stack, via, seen = [(root, iter(adj[root]))], [], set()
+        while stack:
+            v = next((v for v in stack[-1][1] if v not in seen), None)
+            if v is None:
+                stack.pop()
+                del via[-1:]
+            elif v in match_y:
+                seen.add(v)
+                via.append(v)
+                stack.append((match_y[v], iter(adj[match_y[v]])))
+            else:  # augment: each x on the path takes the y it was left through
+                for (u, _), w in zip(stack, via + [v]):
+                    match_x[u] = w
+                    match_y[w] = u
+                break
 
     # Konig: alternate from unmatched X along non-matching then matching edges
     reach_x = {u for u in xs if u not in match_x}

@@ -327,32 +327,28 @@ def compress(td: TreeDecomposition) -> TreeDecomposition:
     """Contract tree edges whose one bag is contained in the other.
 
     Keeps validity, bag independence, and every co-bagged vertex pair, while
-    shrinking the node count (no adjacent containment remains).
+    shrinking the node count (no adjacent containment remains).  One pass:
+    node t absorbs its least neighbor whose bag it contains until none is
+    left, and only then does the scan move on.  No earlier node q gains such
+    a neighbor: contracting s into t makes t a neighbor of q in place of s,
+    and bag(q) does not contain bag(s), which bag(t) contains.  A contraction
+    changes no bag, so the scan contracts what rescanning from node 0 after
+    every contraction would, in the same order.
     """
     bags = [set(b) for b in td.bags]
     adj = [set(td.node_neighbors(t)) for t in range(td.node_count)]
     alive = [True] * td.node_count
-    changed = True
-    while changed:
-        changed = False
-        for t in range(td.node_count):
-            if not alive[t]:
-                continue
-            for s in sorted(adj[t]):
-                if bags[s] <= bags[t]:
-                    # contract s into t
-                    for q in adj[s]:
-                        if q != t:
-                            adj[q].discard(s)
-                            adj[q].add(t)
-                            adj[t].add(q)
-                    adj[t].discard(s)
-                    alive[s] = False
-                    adj[s] = set()
-                    changed = True
-                    break
-            if changed:
-                break
+    for t in range(td.node_count):  # an absorbed node has no neighbors left
+        while inner := [s for s in adj[t] if bags[s] <= bags[t]]:
+            s = min(inner)
+            for q in adj[s]:
+                if q != t:
+                    adj[q].discard(s)
+                    adj[q].add(t)
+                    adj[t].add(q)
+            adj[t].discard(s)
+            alive[s] = False
+            adj[s] = set()
     keep = [t for t in range(td.node_count) if alive[t]]
     index = {t: i for i, t in enumerate(keep)}
     edges = sorted(
