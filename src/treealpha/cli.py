@@ -59,15 +59,12 @@ def _cmd_decompose(args) -> int:
             payload["td_path"] = args.emit_td
         else:
             payload["td"] = to_record(result)
-        if args.log:
-            payload["log"] = log
-        print(json.dumps(payload))
-        return OK
-    payload = {"outcome": "biclique", "witness": result.to_record()}
+    else:
+        payload = {"outcome": "biclique", "witness": result.to_record()}
     if args.log:
         payload["log"] = log
     print(json.dumps(payload))
-    return WITNESS
+    return WITNESS if payload["outcome"] == "biclique" else OK
 
 
 def _cmd_check_td(args) -> int:

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import (
     Graph, VertexSet, component, components, is_complete_between, mask_of,
-    members, vertex_set,
+    members, pieces, vertex_set,
 )
 from .oracles import (
     BICLIQUE,
@@ -600,9 +600,7 @@ def _elimination_order(g: Graph) -> Iterator[tuple[int, int]]:
     heap: list[tuple[int, int, int]] = []
 
     def split(rest: int, optimum: int) -> None:
-        while rest:
-            comp = component(bits, rest)
-            rest ^= comp
+        for comp in pieces(component, bits, rest):
             best = _mis_mask(bits, comp, (optimum & comp).bit_count() - 1)
             if best < 0:  # -1 would put a false root on the heap, never ending the loop
                 raise DecompositionError("component optimum missed its floor")

@@ -8,7 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class GraphParseError(ValueError):
@@ -159,6 +159,20 @@ def cocomponent(bits: Sequence[int], mask: int) -> int:
     return mask ^ unseen
 
 
+def pieces(
+    cut: Callable[[Sequence[int], int], int], bits: Sequence[int], mask: int
+) -> list[int]:
+    """``mask`` cut into its components, or co-components, by ``cut``.
+
+    The pieces are bitmasks, ordered by their lowest vertex.
+    """
+    out = []
+    while mask:
+        out.append(cut(bits, mask))
+        mask ^= out[-1]
+    return out
+
+
 def open_neighborhood(g: Graph, v: int) -> VertexSet:
     """The neighbors of ``v``, excluding ``v`` itself."""
     return g.neighbors(v)
@@ -181,14 +195,8 @@ def components(g: Graph, s: Iterable[int]) -> list[VertexSet]:
 
     Returned as sorted vertex tuples, ordered by their minimum vertex id.
     """
-    bits = g.adjacency_bits()
-    mask = mask_of(g, s)
-    out: list[VertexSet] = []
-    while mask:
-        comp = component(bits, mask)
-        mask ^= comp
-        out.append(members(comp))
-    return out
+    comps = pieces(component, g.adjacency_bits(), mask_of(g, s))
+    return [members(c) for c in comps]
 
 
 def is_connected(g: Graph) -> bool:
@@ -240,7 +248,8 @@ def parse_graph(text: str) -> Graph:
     Edge-list: first non-comment line is the vertex count ``n``; every later
     line is one ``u v`` pair, 0-based.  DIMACS: ``p edge n m`` header, then
     ``e u v`` lines with 1-based ids (converted to 0-based).  Comment lines
-    start with ``c`` or ``#``.
+    start with ``c`` or ``#``.  A payload has one header and one format: a
+    second header, or an edge line of the other format, is an error.
     """
     n: int | None = None
     dimacs = False
@@ -267,6 +276,8 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphParseError(line_no, f"second header: {line!r}")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphParseError(line_no, f"malformed DIMACS header: {line!r}")
             try:
@@ -296,6 +307,8 @@ def parse_graph(text: str) -> Graph:
             if n < 0:
                 raise GraphParseError(line_no, "negative vertex count")
         else:
+            if dimacs:
+                raise GraphParseError(line_no, f"plain edge in DIMACS payload: {line!r}")
             if len(parts) != 2:
                 raise GraphParseError(line_no, f"malformed edge line: {line!r}")
             try:

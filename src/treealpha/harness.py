@@ -27,12 +27,13 @@ from typing import Iterable, Optional, Sequence
 
 from .decomposer import approximate_tia
 from .degeneracy import alpha_degeneracy
-from .graph import Graph
+from .graph import Graph, component, members, pieces
 from .oracles import (
     SUBSTAR,
     ForbiddenStructureFound,
     Witness,
-    alpha_mask,
+    _alpha,
+    _memo,
     biclique_through,
     find_induced_complete_bipartite,
     find_induced_path,
@@ -58,50 +59,38 @@ def exact_tia(g: Graph, cap: Optional[int] = None) -> int:
     Minimizes, over all elimination orderings, the maximum independence
     number of an elimination bag; bags absorb fill-in through eliminated
     vertices, which sweeps exactly the chordal completions of the graph.
+
+    best[S] is the least worst bag over the orders that eliminate S first.
+    Eliminating v last in S, after S - v, joins v to every vertex outside S
+    that it reaches through S - v: the rim N(C) - S of v's component C in
+    G[S].  So v's bag is {v} + rim(C), every vertex of C shares that rim,
+    and each S is split into components once:
+    best[S] = min over v in S of max(best[S - v], alpha({v} + rim(C_v))).
     """
     limit = cap if cap is not None else oracle_cap()
     if g.n > limit:
         raise ValueError(f"n={g.n} exceeds the oracle cap {limit}")
-    if g.n == 0:
-        return 0
     bits = g.adjacency_bits()
-    full = (1 << g.n) - 1
-    # the graph is immutable, so a bag's alpha depends on its mask alone
-    memo: dict[int, int] = {}
-
-    def bag_alpha(v: int, eliminated: int) -> int:
-        # component of eliminated vertices reachable from v, then its rim
-        seen = 1 << v
-        reach = bits[v]
-        while True:
-            inner = reach & eliminated & ~seen
-            if not inner:
-                break
-            seen |= inner
-            while inner:
-                u = (inner & -inner).bit_length() - 1
-                inner &= inner - 1
-                reach |= bits[u]
-        bag = (reach & ~eliminated) | (1 << v)
-        alpha = memo.get(bag)
-        if alpha is None:
-            alpha = alpha_mask(g, bag)
-            memo[bag] = alpha
-        return alpha
-
-    best = [0] * (full + 1)
-    for s in range(1, full + 1):
-        val = None
-        rest = s
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            prev = s & ~(1 << v)
-            cand = max(best[prev], bag_alpha(v, prev))
-            if val is None or cand < val:
-                val = cand
+    memo = _memo(bits)
+    best = [0] * (1 << g.n)
+    for s in range(1, len(best)):
+        val = g.n
+        for comp in pieces(component, bits, s):
+            vs = members(comp)
+            rim = 0
+            for v in vs:
+                rim |= bits[v]
+            rim &= ~s
+            for v in vs:
+                bag = rim | 1 << v
+                a = memo[bag] if bag in memo else _alpha(bits, bag, memo)
+                prev = best[s ^ 1 << v]
+                if prev > a:
+                    a = prev
+                if a < val:
+                    val = a
         best[s] = val
-    return best[full]
+    return best[-1]
 
 
 def is_chordal(g: Graph) -> bool:

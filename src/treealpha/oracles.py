@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import (
     Graph, VertexSet, cocomponent, component, is_independent, mask_of, members,
-    vertex_set,
+    pieces, vertex_set,
 )
 
 
@@ -149,17 +149,6 @@ def _memo(bits: Sequence[int]) -> dict[int, int]:
     return memo
 
 
-def _pieces(
-    cut: Callable[[Sequence[int], int], int], bits: Sequence[int], m: int
-) -> list[int]:
-    """``m`` cut into its components, or co-components, by ``cut``."""
-    out = []
-    while m:
-        out.append(cut(bits, m))
-        m ^= out[-1]
-    return out
-
-
 def _split(bits: Sequence[int], m: int) -> tuple[int, list[int], bool]:
     """alpha(m) as ``base`` plus the sum, or with ``join`` the max, over ``parts``."""
     base = 0
@@ -173,10 +162,10 @@ def _split(bits: Sequence[int], m: int) -> tuple[int, list[int], bool]:
             m ^= low | nb
             if nb:  # the neighbor's other neighbors lose a degree
                 todo |= bits[nb.bit_length() - 1] & m
-    parts = _pieces(component, bits, m)
+    parts = pieces(component, bits, m)
     if len(parts) > 1 or not m:
         return base, parts, False
-    parts = _pieces(cocomponent, bits, m)
+    parts = pieces(cocomponent, bits, m)
     if len(parts) > 1:  # a single vertex adds 1, the least the max can be
         return base, [c for c in parts if c & (c - 1)], True
     vs = members(m)
@@ -247,11 +236,11 @@ def _mis_mask(bits: Sequence[int], mask: int, floor: int = -1) -> int:
         if a <= 1:  # nothing, or a clique: every degree ties, so p is the lowest
             out |= m & -m
             continue
-        parts = _pieces(component, bits, m)
+        parts = pieces(component, bits, m)
         if len(parts) > 1:
             todo += [(c, _alpha(bits, c, memo)) for c in parts]
             continue
-        parts = _pieces(cocomponent, bits, m)
+        parts = pieces(cocomponent, bits, m)
         keep = m
         if parts[1:]:  # the union of those that reach alpha(M); no single vertex does
             keep = sum(c for c in parts if c & (c - 1) and _alpha(bits, c, memo) == a)

@@ -377,7 +377,7 @@ def serialize_td(td: TreeDecomposition) -> str:
 
 def parse_td(text: str) -> TreeDecomposition:
     count: int | None = None
-    edges: list[tuple[int, int]] = []
+    edges: list[tuple[int, int, int]] = []  # (line, a, b)
     bags: dict[int, VertexSet] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -397,7 +397,7 @@ def parse_td(text: str) -> TreeDecomposition:
         elif kind == "e":
             if len(nums) != 2:
                 raise ValueError(f"line {line_no}: malformed edge line")
-            edges.append((nums[0], nums[1]))
+            edges.append((line_no, *nums))
         else:
             if not nums:
                 raise ValueError(f"line {line_no}: malformed bag line")
@@ -409,7 +409,12 @@ def parse_td(text: str) -> TreeDecomposition:
         raise ValueError("missing td header")
     if set(bags) != set(range(count)):
         raise ValueError("bag lines do not cover nodes 0..count-1")
-    return TreeDecomposition(tuple(edges), tuple(bags[t] for t in range(count)))
+    for line_no, a, b in edges:
+        if not (0 <= a < count and 0 <= b < count) or a == b:
+            raise ValueError(f"line {line_no}: bad tree edge ({a},{b})")
+    return TreeDecomposition(
+        tuple((a, b) for _, a, b in edges), tuple(bags[t] for t in range(count))
+    )
 
 
 def to_record(td: TreeDecomposition) -> dict:
