@@ -125,10 +125,12 @@ def members(mask: int) -> VertexSet:
 
 
 def mask_of(g: Graph, s: Iterable[int]) -> int:
-    """The bitmask of the vertex set ``s``; raises ValueError on a non-vertex."""
+    """The bitmask of the vertex set ``s``; a ValueError names its first non-vertex."""
+    n = g.n
     mask = 0
-    for v in set(s):
-        g._check_vertex(v)
+    for v in s:
+        if not 0 <= v < n:
+            raise ValueError(f"invalid vertex {v} for graph with n={n}")
         mask |= 1 << v
     return mask
 

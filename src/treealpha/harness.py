@@ -2,7 +2,9 @@
 
 The oracle walks the chordal-completion search space implicitly: every
 elimination ordering induces a triangulation whose maximal cliques are the
-elimination bags, and the subset dynamic program minimizes the worst bag
+elimination bags, and a decision search, "is there an ordering whose bags
+all have independence number <= k?", run for k = 1, 2, ... over the
+eliminated sets that can still meet k, finds the least worst bag
 independence number over all orderings.  Generators certify membership in
 the requested hereditary class by exact pattern search instead of trusting
 their own construction.
@@ -47,7 +49,14 @@ DEFAULT_ORACLE_CAP = 8
 
 
 def oracle_cap() -> int:
-    return int(os.environ.get(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP))
+    """The oracle's vertex cap: ``TREEALPHA_ORACLE_CAP`` if set, else the default."""
+    raw = os.environ.get(ORACLE_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ORACLE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, not {raw!r}") from None
 
 
 # -- exact tree-independence number -------------------------------------------
@@ -56,41 +65,71 @@ def oracle_cap() -> int:
 def exact_tia(g: Graph, cap: Optional[int] = None) -> int:
     """Exact tree-independence number for small graphs.
 
-    Minimizes, over all elimination orderings, the maximum independence
+    The least, over all elimination orderings, of the largest independence
     number of an elimination bag; bags absorb fill-in through eliminated
     vertices, which sweeps exactly the chordal completions of the graph.
+    The value is found as a decision, "is there an order whose bags all
+    have alpha <= k?", for k = 1, 2, ... in turn; the first yes is returned.
 
-    best[S] is the least worst bag over the orders that eliminate S first.
-    Eliminating v last in S, after S - v, joins v to every vertex outside S
-    that it reaches through S - v: the rim N(C) - S of v's component C in
-    G[S].  So v's bag is {v} + rim(C), every vertex of C shares that rim,
-    and each S is split into components once:
-    best[S] = min over v in S of max(best[S - v], alpha({v} + rim(C_v))).
+    Call an eliminated set S feasible when S has an order in which every
+    bag has alpha <= k.  Eliminating v after S joins v to every vertex
+    outside S + v that v reaches through S, so v's bag is v plus the
+    neighborhoods of v and of the components of G[S] that v touches, minus
+    S + v.  That bag depends on (S, v) alone, not on the order of S, so
+    S + v is feasible exactly when S is feasible and the bag's alpha is at
+    most k.  Every nonempty feasible set is therefore a feasible set plus
+    its last vertex, and by induction on |S| a depth-first search from the
+    empty set that pushes S + v only when that bag qualifies reaches every
+    feasible set and no other.  The answer is yes exactly when it reaches
+    the full vertex set.  With one ``seen`` set per k it expands each set
+    at most once, so at most 2^n sets per k, and k stops at alpha(G) at
+    the latest, where every bag qualifies.  The search takes no bound from
+    outside, so the audit's k* and alpha-degeneracy stay independent checks
+    of it.
     """
     limit = cap if cap is not None else oracle_cap()
     if g.n > limit:
         raise ValueError(f"n={g.n} exceeds the oracle cap {limit}")
+    if g.n == 0:
+        return 0
     bits = g.adjacency_bits()
     memo = _memo(bits)
-    best = [0] * (1 << g.n)
-    for s in range(1, len(best)):
-        val = g.n
-        for comp in pieces(component, bits, s):
-            vs = members(comp)
+    full = (1 << g.n) - 1
+    k = 1
+    while not _eliminates_within(bits, memo, full, k):
+        k += 1
+    return k
+
+
+def _eliminates_within(bits: Sequence[int], memo: dict[int, int], full: int, k: int) -> bool:
+    """Whether the vertices of ``full`` have an order whose bags all have alpha <= k."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        if s == full:
+            return True
+        comps = pieces(component, bits, s)
+        rims = []
+        for comp in comps:
             rim = 0
-            for v in vs:
-                rim |= bits[v]
-            rim &= ~s
-            for v in vs:
-                bag = rim | 1 << v
-                a = memo[bag] if bag in memo else _alpha(bits, bag, memo)
-                prev = best[s ^ 1 << v]
-                if prev > a:
-                    a = prev
-                if a < val:
-                    val = a
-        best[s] = val
-    return best[-1]
+            for u in members(comp):
+                rim |= bits[u]
+            rims.append(rim)
+        for v in members(full ^ s):
+            t = s | 1 << v
+            if t in seen:
+                continue
+            reach = bits[v]
+            for comp, rim in zip(comps, rims):
+                if reach & comp:
+                    reach |= rim
+            bag = reach & ~t | 1 << v
+            a = memo[bag] if bag in memo else _alpha(bits, bag, memo)
+            if a <= k:
+                seen.add(t)
+                stack.append(t)
+    return False
 
 
 def is_chordal(g: Graph) -> bool:
