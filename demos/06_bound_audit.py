@@ -37,10 +37,11 @@ for seed in range(12, 20):
     g = gen_p5_free(9 + seed % 4, seed, "perturb-filter")
     records.append(audit_sandwich(g, seed=seed, generator="p5-free", cap=12))
 
-out = Path(tempfile.mkdtemp()) / "report.csv"
-write_report(records, str(out))
-print("report written to", out)
-print(out.read_text().splitlines()[0])
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "report.csv"
+    write_report(records, str(out))
+    print("report written to", out)
+    print(out.read_text().splitlines()[0])
 print("exact tree-independence by n:",
       sorted((rec.n, rec.exact) for rec in records if rec.exact is not None))
 for ell, worst, bound in summarize(records):

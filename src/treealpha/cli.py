@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .decomposer import decompose
 from .degeneracy import alpha_degeneracy, low_alpha_vertex
-from .graph import Graph, parse_graph, serialize_graph
+from .graph import Graph, GraphParseError, parse_graph, serialize_graph
 from .harness import (
     audit_sandwich,
     exact_tia,
@@ -151,14 +151,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    corpus = sorted(Path(args.corpus).glob("*"))
+    corpus = Path(args.corpus)
+    if not corpus.is_dir():
+        raise NotADirectoryError(f"corpus is not a directory: {args.corpus}")
     records = []
     failures = 0
-    for i, path in enumerate(p for p in corpus if p.is_file()):
-        g = parse_graph(path.read_text())
+    for i, path in enumerate(p for p in sorted(corpus.glob("*")) if p.is_file()):
         try:
+            g = parse_graph(path.read_text())
             records.append(audit_sandwich(g, seed=i, generator=path.name))
-        except AssertionError as exc:
+        except (GraphParseError, UnicodeDecodeError, AssertionError) as exc:
             failures += 1
             print(f"FAIL {path.name}: {exc}", file=sys.stderr)
     write_report(records, args.report)

@@ -120,6 +120,13 @@ def _raise_with_witness(g: Graph, w: Witness, msg: str) -> None:
     raise ForbiddenStructureFound(w, msg)
 
 
+def _check_p5_free(g: Graph) -> None:
+    """Refute the input's P5-freeness promise with its first induced P5, if any."""
+    w = find_induced_path(g, 5)
+    if w is not None:
+        _raise_with_witness(g, w, "input contains an induced P5")
+
+
 def _refute_p5(g: Graph, level: set[int], msg: str) -> None:
     """Refute a failed P5 claim with the first induced P5 of G[level].
 
@@ -685,9 +692,7 @@ def decompose(
     if ell < 2:
         raise ValueError("ell must be >= 2")
     if check_p5:
-        w = find_induced_path(g, 5)
-        if w is not None:
-            raise ForbiddenStructureFound(w, "input contains an induced P5")
+        _check_p5_free(g)
     return _decompose_levels(g, ell, _elimination_order(g), log)
 
 
@@ -701,9 +706,7 @@ def approximate_tia(
     Returns (bag independence k*, the decomposition, ell*); the sandwich
     ell*-1 <= tree-alpha <= k* <= 4*ell* holds for P5-free inputs.
     """
-    w = find_induced_path(g, 5)
-    if w is not None:
-        raise ForbiddenStructureFound(w, "input contains an induced P5")
+    _check_p5_free(g)
     if g.edge_count == 0:
         if g.n == 0:
             return 0, single_bag_decomposition(()), 1

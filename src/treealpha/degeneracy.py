@@ -14,8 +14,7 @@ from math import comb
 from typing import Iterable, Optional, Union
 
 from .graph import (
-    Graph, VertexSet, closed_neighborhood, is_independent, mask_of, members,
-    vertex_set,
+    Graph, VertexSet, closed_neighborhood, is_independent, mask_of, members, vertex_set,
 )
 from .oracles import (
     DK2,
@@ -35,11 +34,13 @@ class ExtractionError(RuntimeError):
     """An internal extraction step produced an inconsistent structure."""
 
 
-def _check_bipartition(g: Graph, a: VertexSet, b: VertexSet) -> None:
+def _check_bipartition(g: Graph, a: VertexSet, b: VertexSet) -> int:
+    """The mask of ``b``, once the sides are checked disjoint and independent."""
     if set(a) & set(b):
         raise ValueError("sides overlap")
     if not is_independent(g, a) or not is_independent(g, b):
         raise ValueError("sides must be independent")
+    return mask_of(g, b)
 
 
 def near_complete_vertices(
@@ -52,14 +53,13 @@ def near_complete_vertices(
     balanced biclique is returned instead of the list.
     """
     a_side, b_side = vertex_set(a_side), vertex_set(b_side)
-    _check_bipartition(g, a_side, b_side)
+    bmask = _check_bipartition(g, a_side, b_side)
     if p < 1 or ell < 1:
         raise ValueError("p and ell must be positive")
     if len(b_side) < p * ell:
         raise ValueError(
             f"|B| = {len(b_side)} below required {p}*{ell} = {p * ell}"
         )
-    bmask = mask_of(g, b_side)
     qualifying = tuple(
         x
         for x in a_side
@@ -80,36 +80,6 @@ def near_complete_vertices(
     return w
 
 
-@dataclass
-class HighDegreeSearchState:
-    """Running state of the private-neighborhood selection loop.
-
-    ``chosen`` is the ordered list of selected vertices, ``candidates`` the
-    surviving pool, and ``step`` the number of selections made so far.
-    """
-
-    chosen: list[int]
-    candidates: list[int]
-    step: int
-
-    def check(self, g: Graph, y_mask: int, d: int, ell: int) -> None:
-        j = self.step
-        lower = (d * (d - 1) - j * (j + 1)) // 2 * (ell - 1)
-        if len(self.candidates) <= lower:
-            raise ExtractionError(
-                f"candidate pool too small after step {j}: "
-                f"{len(self.candidates)} <= {lower}"
-            )
-        need = ell ** (d - 1 - j)
-        for x in self.candidates:
-            group = self.chosen + [x]
-            for z in group:
-                if _private_size(g, z, group, y_mask) < need:
-                    raise ExtractionError(
-                        f"private neighborhood of {z} fell below {need}"
-                    )
-
-
 def _private_mask(g: Graph, v: int, group: list[int], y_mask: int) -> int:
     """Neighbors of ``v`` in the Y side not adjacent to any other group member."""
     others = 0
@@ -119,8 +89,21 @@ def _private_mask(g: Graph, v: int, group: list[int], y_mask: int) -> int:
     return g.neighbor_bits(v) & y_mask & ~others
 
 
-def _private_size(g: Graph, v: int, group: list[int], y_mask: int) -> int:
-    return _private_mask(g, v, group, y_mask).bit_count()
+def _check_pool(
+    g: Graph, chosen: list[int], pool: list[int], j: int, y_mask: int, d: int, ell: int
+) -> None:
+    """The selection loop's pool size and private-neighborhood sizes after step ``j``."""
+    lower = (d * (d - 1) - j * (j + 1)) // 2 * (ell - 1)
+    if len(pool) <= lower:
+        raise ExtractionError(
+            f"candidate pool too small after step {j}: {len(pool)} <= {lower}"
+        )
+    need = ell ** (d - 1 - j)
+    for x in pool:
+        group = chosen + [x]
+        for z in group:
+            if _private_mask(g, z, group, y_mask).bit_count() < need:
+                raise ExtractionError(f"private neighborhood of {z} fell below {need}")
 
 
 def high_degree_extract(
@@ -135,10 +118,9 @@ def high_degree_extract(
     filtering step surfaces an induced balanced biclique.
     """
     x_side, y_side = vertex_set(x_side), vertex_set(y_side)
-    _check_bipartition(g, x_side, y_side)
+    y_mask = _check_bipartition(g, x_side, y_side)
     if d < 2 or ell < 2:
         raise ValueError("d and ell must be >= 2")
-    y_mask = mask_of(g, y_side)
     need = ell ** (d - 1)
     for x in x_side:
         if (g.neighbor_bits(x) & y_mask).bit_count() < need:
@@ -147,27 +129,23 @@ def high_degree_extract(
     if len(x_side) <= limit:
         return limit
 
-    state = HighDegreeSearchState(chosen=[], candidates=list(x_side), step=0)
-    state.check(g, y_mask, d, ell)
+    chosen, pool = [], list(x_side)
+    _check_pool(g, chosen, pool, 0, y_mask, d, ell)
     for j in range(1, d):
-        pool = state.candidates
-        z = min(pool, key=lambda v: (_private_size(g, v, state.chosen + [v], y_mask), v))
-        chosen = state.chosen + [z]
+        z = min(pool, key=lambda v: (_private_mask(g, v, chosen + [v], y_mask).bit_count(), v))
+        chosen.append(z)
         p = ell ** (d - 1 - j)
         discard: set[int] = set()
         for member in chosen:
-            b_mask = _private_mask(g, member, chosen, y_mask)
-            b_set = members(b_mask)
-            got = near_complete_vertices(g, tuple(pool), b_set, p, ell)
+            b_set = members(_private_mask(g, member, chosen, y_mask))
+            got = near_complete_vertices(g, pool, b_set, p, ell)
             if isinstance(got, Witness):
                 return got
             discard.update(got)
-        survivors = [v for v in pool if v not in discard]
-        state = HighDegreeSearchState(chosen=chosen, candidates=survivors, step=j)
-        state.check(g, y_mask, d, ell)
+        pool = [v for v in pool if v not in discard]
+        _check_pool(g, chosen, pool, j, y_mask, d, ell)
 
-    anchor = min(state.candidates)
-    group = state.chosen + [anchor]
+    group = chosen + [min(pool)]
     edges = []
     for z in group:
         pm = _private_mask(g, z, group, y_mask)
@@ -193,41 +171,37 @@ def low_degree_induced_matching(
     Preconditions: the matching covers ``x_side``, every x has at most ``q``
     neighbors in ``y_side``, and |x_side| > 2*(d-1)*q.  Follows the
     inductive restriction: pick a low-degree matched Y vertex, keep only the
-    rows and columns it leaves untouched, and recurse.
+    rows and columns it leaves untouched, and repeat.
     """
     x_side, y_side = vertex_set(x_side), vertex_set(y_side)
-    _check_bipartition(g, x_side, y_side)
+    y_mask = _check_bipartition(g, x_side, y_side)
     if d < 1 or q < 1:
         raise ValueError("d and q must be positive")
     partner = matching.partner()
-    y_mask_full = mask_of(g, y_side)
     for x in x_side:
         y = partner.get(x, -1)
-        if y < 0 or not y_mask_full >> y & 1:
+        if y < 0 or not y_mask >> y & 1:
             raise ValueError(f"matching does not cover {x} within Y")
     for x in x_side:
-        if (g.neighbor_bits(x) & y_mask_full).bit_count() > q:
+        if (g.neighbor_bits(x) & y_mask).bit_count() > q:
             raise ValueError(f"vertex {x} exceeds degree bound {q}")
     if len(x_side) <= 2 * (d - 1) * q:
         raise ValueError(f"|X| = {len(x_side)} not above 2(d-1)q = {2 * (d - 1) * q}")
 
-    def rec(xs: list[int], depth: int) -> list[tuple[int, int]]:
-        if depth == 1:
-            x = min(xs)
-            return [(x, partner[x])]
-        ys = sorted(partner[x] for x in xs)
-        x_mask = mask_of(g, xs)
-        y = min(v for v in ys if (g.neighbor_bits(v) & x_mask).bit_count() <= q)
+    # one edge per step; the witness lists the last step's edge first
+    bits = g.adjacency_bits()
+    xs = mask_of(g, x_side)
+    edges = []
+    for _ in range(d - 1):
+        ys = sorted(partner[x] for x in members(xs))
+        y = min(v for v in ys if (bits[v] & xs).bit_count() <= q)
         x = partner[y]
-        y_keep = [v for v in ys if not g.adjacent(x, v)]
-        blocked = {partner[v] for v in ys if g.adjacent(x, v)}
-        x_keep = [
-            u for u in xs if not g.adjacent(u, y) and u not in blocked
-        ]
-        return rec(x_keep, depth - 1) + [(x, y)]
-
-    edges = rec(list(x_side), d)
-    w = matching_witness(edges)
+        blocked = mask_of(g, (partner[v] for v in ys if bits[x] >> v & 1))
+        xs &= ~bits[y] & ~blocked
+        edges.append((x, y))
+    x = min(members(xs))
+    edges.append((x, partner[x]))
+    w = matching_witness(edges[::-1])
     if not verify_witness(g, w):
         raise ExtractionError("constructed induced matching failed verification")
     return w
@@ -284,6 +258,9 @@ def low_alpha_vertex(
         return LowAlphaReport(v, alpha_closed, bound, None)
 
     i_rest = tuple(u for u in mis if u != v)
+    # Unreachable: MIS is independent, so it meets N[v] only in v, and J, an
+    # independent subset of N[v], holds v only as J = {v}, where
+    # alpha(N[v]) = 1 < bound and the report returned above.
     if set(j_set) & set(mis):
         raise ExtractionError("independent-set oracle inconsistency")
     matching = bipartite_max_matching(g, j_set, i_rest)
@@ -296,7 +273,7 @@ def low_alpha_vertex(
     witness = (
         _extract_d2(g, v, j_matched, partner, i_mask, ell)
         if d == 2
-        else _extract_general(g, j_matched, i_rest, partner, matching, d, ell)
+        else _extract_general(g, j_matched, i_rest, i_mask, partner, matching, d, ell)
     )
     if not verify_witness(g, witness):
         raise ExtractionError("extraction produced an unverifiable witness")
@@ -321,6 +298,8 @@ def _extract_d2(
         if na & ~nb:
             ya = (na & ~nb & -(na & ~nb)).bit_length() - 1
             diff = nb & ~na
+            # Unreachable: xs is ordered by |N(x) & I|, so |na| <= |nb|, and
+            # nb inside na would force nb == na, against na not inside nb.
             if not diff:
                 raise ExtractionError("incomparable pair without a crossing neighbor")
             yb = (diff & -diff).bit_length() - 1
@@ -336,19 +315,16 @@ def _extract_general(
     g: Graph,
     j_matched: list[int],
     i_rest: VertexSet,
+    i_mask: int,
     partner: dict[int, int],
     matching: MatchingResult,
     d: int,
     ell: int,
 ) -> Witness:
     """Split by degree and run the matching/private-neighborhood extractions."""
-    i_mask = mask_of(g, i_rest)
     thr = ell ** (d - 1)
-    j_high = tuple(
-        x for x in j_matched if (g.neighbor_bits(x) & i_mask).bit_count() >= thr
-    )
-    high_mask = mask_of(g, j_high)
-    j_low = tuple(x for x in j_matched if not high_mask >> x & 1)
+    j_high = tuple(x for x in j_matched if (g.neighbor_bits(x) & i_mask).bit_count() >= thr)
+    j_low = tuple(x for x in j_matched if x not in j_high)
     if len(j_high) > comb(d, 2) * (ell - 1):
         got = high_degree_extract(g, j_high, i_rest, d, ell)
         if isinstance(got, Witness):

@@ -18,11 +18,13 @@ from .graph import (
     VertexSet,
     closed_neighborhood,
     closed_neighborhood_of_set,
+    component,
     components,
     induced_subgraph,
     is_connected,
     mask_of,
     members,
+    pieces,
     vertex_set,
 )
 from .oracles import (
@@ -85,28 +87,27 @@ def gyarfas_dominated_separator(g: Graph, t: int) -> SeparatorCertificate:
     if not is_connected(g):
         raise DisconnectedGraphError("separator construction needs a connected graph")
     bits = g.adjacency_bits()
-    full = (1 << g.n) - 1
-    path = [0]
-    prev_region = full
+    full = prev_region = (1 << g.n) - 1
+    path, dominated = [0], bits[0] | 1
     while True:
-        dominated = closed_neighborhood_of_set(g, path)
-        comps = components(g, members(full & ~mask_of(g, dominated)))
-        big = [c for c in comps if 2 * len(c) > g.n]
-        if not big:
+        comps = pieces(component, bits, full & ~dominated)
+        region = next((c for c in comps if 2 * c.bit_count() > g.n), 0)
+        if not region:
             return SeparatorCertificate(
                 x=vertex_set(path),
-                dominated=dominated,
-                component_list=tuple(comps),
+                dominated=members(dominated),
+                component_list=tuple(members(c) for c in comps),
                 bound=g.n // 2,
             )
-        region = mask_of(g, big[0])
         reach = 0
-        for u in big[0]:
+        for u in members(region):
             reach |= bits[u]
         cands = reach & ~region & bits[path[-1]] & prev_region
         if not cands:
             raise RuntimeError("path growth stalled; connectivity invariant broken")
-        path.append((cands & -cands).bit_length() - 1)
+        v = (cands & -cands).bit_length() - 1
+        path.append(v)
+        dominated |= bits[v] | 1 << v
         prev_region = region
         if len(path) >= t:
             w = path_witness(path)
@@ -119,33 +120,28 @@ SeparatorProvider = Callable[[Graph], SeparatorCertificate]
 
 
 def get_separator_provider(name: str) -> SeparatorProvider:
-    """Resolve a provider by registry name, e.g. ``pt-free:5``."""
+    """Resolve a provider by registry name, e.g. ``pt-free:5`` (t >= 2)."""
     if name.startswith("pt-free:"):
-        t = int(name.split(":", 1)[1])
-        return lambda g: gyarfas_dominated_separator(g, t)
+        t = name.split(":", 1)[1]
+        if not t.isdecimal() or int(t) < 2:
+            raise ValueError(f"separator provider {name!r} needs an integer t >= 2")
+        return lambda g: gyarfas_dominated_separator(g, int(t))
     raise KeyError(f"unknown separator provider {name!r}")
 
 
-def _separator_within(
-    g: Graph, region: VertexSet, provider: SeparatorProvider
-) -> set[int]:
-    """A dominating set balancing ``g`` restricted to ``region``.
+def _separator_within(g: Graph, region: int, provider: SeparatorProvider) -> int:
+    """A dominating set balancing ``g`` restricted to the mask ``region``, as a mask.
 
-    Disconnected regions are handled directly: if no component exceeds half
-    the region a single vertex works, otherwise the provider runs inside the
-    unique oversized component and its separator balances the whole region.
+    If no component exceeds half the region a single vertex works; otherwise
+    the provider runs inside the unique oversized component (the whole
+    region when it is connected) and its separator balances the whole region.
     """
-    comps = components(g, region)
-    if len(comps) > 1:
-        big = [c for c in comps if 2 * len(c) > len(region)]
-        if not big:
-            return {min(region)}
-        target = big[0]
-    else:
-        target = comps[0]
-    sub, mapping = induced_subgraph(g, target)
-    cert = provider(sub)
-    return {mapping[v] for v in cert.x}
+    comps = pieces(component, g.adjacency_bits(), region)
+    big = next((c for c in comps if 2 * c.bit_count() > region.bit_count()), 0)
+    if not big:
+        return region & -region
+    sub, mapping = induced_subgraph(g, members(big))
+    return mask_of(g, (mapping[v] for v in provider(sub).x))
 
 
 def dbs_low_alpha_vertex(
@@ -189,19 +185,23 @@ def dbs_low_alpha_vertex(
         best = max(members(live), key=lambda v: ((bits[v] & live).bit_count(), -v))
         depth += 1
         if d * ((bits[best] & live).bit_count() + 1) >= live.bit_count():
-            x_set = {best}
+            x_mask = 1 << best
         else:
-            x_set = _separator_within(g, members(live), provider)
-        rest = live & ~mask_of(g, closed_neighborhood_of_set(g, x_set))
+            x_mask = _separator_within(g, live, provider)
+        rest = live & ~x_mask
+        for u in members(x_mask):
+            rest &= ~bits[u]
         if not rest:
             raise RuntimeError("separator removed everything; degree case expected")
-        region = mask_of(g, max(components(g, members(rest)), key=len))
+        region = max(pieces(component, bits, rest), key=int.bit_count)
 
     alpha = alpha_of_subset(g, closed_neighborhood(g, v))
     limit = d * ell * log2(g.n)
     if alpha > limit:
         diag = find_induced_complete_bipartite(g, 2, ell)
         if diag is not None:
+            if not verify_witness(g, diag):
+                raise RuntimeError("biclique diagnostic failed verification")
             raise ForbiddenStructureFound(
                 diag,
                 f"neighborhood bound {limit:.2f} violated (alpha={alpha}); "
