@@ -142,7 +142,13 @@ def _cmd_gen(args) -> int:
             print("class-free generation needs --forbid", file=sys.stderr)
             return ERROR
         patterns = [parse_pattern(p) for p in args.forbid.split(",")]
-        g = gen_class_free(args.n, args.seed, patterns)
+        try:
+            g = gen_class_free(args.n, args.seed, patterns)
+        except RuntimeError as exc:
+            if not str(exc).startswith("generation budget exhausted"):
+                raise  # a failed certification is a bug, not a bad request
+            print(str(exc), file=sys.stderr)
+            return ERROR
     else:
         print(f"unknown kind {args.kind!r}", file=sys.stderr)
         return ERROR

@@ -21,6 +21,16 @@ first maximum-size leaf, in depth-first order, of the tree that branches on
 a maximum-degree vertex (lowest id on ties) with the include branch first.
 ``_mis_mask`` finds it by descent, and the engine's root choice ``min(MIS)``
 depends on it.
+
+Induced paths are decided before the depth-first search gives a witness.
+P_t for t >= 4 is connected and co-connected, so it lies within one
+component and one co-component: only prime pieces, which split neither
+way, are searched (as in cograph recognition; Corneil, Perl and Stewart,
+SIAM J. Comput. 1985).  An induced P5 a-b-c-d-e has b and d non-adjacent
+neighbors of the centre c, a in N(b) - N[c] - N(d), e in N(d) - N[c] -
+N(b), and a not adjacent to e.  Conversely any such five vertices form an
+induced P5: the conditions fix every pair, and a != e as e is in N(d) and
+a is not.  So a P5 is found by mask ANDs over a centre and a pair.
 """
 
 from __future__ import annotations
@@ -389,12 +399,16 @@ def find_induced_path(g: Graph, t: int) -> Optional[Witness]:
     """First induced path on ``t`` vertices in a deterministic DFS order.
 
     Paths are explored by ascending start vertex and ascending extensions;
-    orientations are canonicalized by requiring first < last endpoint for
-    t >= 2.  Exhaustive: returns None only if no induced P_t exists.
+    orientations are canonicalized by requiring first <= last endpoint.
+    For t >= 4 the search runs only once ``_has_induced_path`` says yes.
+    Exhaustive: returns None only if no induced P_t exists.
     """
     if t < 1:
         raise ValueError("path length must be >= 1")
-    return _induced_path_within(g.adjacency_bits(), t, (1 << g.n) - 1)
+    bits, full = g.adjacency_bits(), (1 << g.n) - 1
+    if t >= 4 and not _has_induced_path(bits, t, full):
+        return None
+    return _induced_path_within(bits, t, full)
 
 
 def _induced_path_within(bits: Sequence[int], t: int, mask: int) -> Optional[Witness]:
@@ -412,15 +426,88 @@ def _induced_path_within(bits: Sequence[int], t: int, mask: int) -> Optional[Wit
     return None
 
 
+def _has_induced_path(bits: Sequence[int], t: int, mask: int) -> bool:
+    """Whether G[mask] has an induced P_t; for t >= 4 only prime pieces are searched."""
+    if t < 4:
+        return _induced_path_within(bits, t, mask) is not None
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        parts = pieces(component, bits, m)
+        if len(parts) == 1:
+            parts = pieces(cocomponent, bits, m)
+        if len(parts) > 1:
+            todo += [c for c in parts if c.bit_count() >= t]
+        elif t == 5:
+            if any(_centred_p5(bits, m, c, m, 0) for c in members(m)):
+                return True
+        elif _induced_path_within(bits, t, m) is not None:
+            return True
+    return False
+
+
+def _centred_p5(bits: Sequence[int], m: int, c: int, bs: int, need: int) -> Optional[tuple]:
+    """An induced P5 a-b-c-d-e of G[m] centred at ``c``, or None.
+
+    Tries each pair {b, d} of non-adjacent neighbors of c with b in ``bs``
+    once (see the module docstring); the path must hold ``need``'s vertex.
+    """
+    near = bits[c] & m
+    far = m & ~near & ~(1 << c)
+    seen = 0
+    for b in members(near & bs):
+        seen |= 1 << b
+        ds = near & ~bits[b] & ~seen
+        while ds:
+            low = ds & -ds
+            ds ^= low
+            d = low.bit_length() - 1
+            ends_a = bits[b] & far & ~bits[d]
+            ends_e = bits[d] & far & ~bits[b]
+            rest = need & ~(1 << b | 1 << d)
+            if rest & ends_a:
+                ends_a = rest
+            elif rest & ends_e:
+                ends_e = rest
+            elif rest:
+                continue
+            while ends_a and ends_e:
+                a = ends_a & -ends_a
+                ends_a ^= a
+                e = ends_e & ~bits[a.bit_length() - 1]
+                if e:
+                    return a.bit_length() - 1, b, c, d, (e & -e).bit_length() - 1
+    return None
+
+
 def path_through(bits: Sequence[int], t: int, u: int, v: int) -> Optional[Witness]:
     """An induced path on ``t`` vertices containing both ``u`` and ``v``, or None.
 
-    ``bits`` are adjacency masks.  A first arm of k <= (t - 1) / 2 vertices
-    is grown from ``u``, then the path is grown from ``u`` the other way to
-    its full length.  Exhaustive: returns None only if no such path exists.
+    ``bits`` are adjacency masks.  For t = 5 the centre kernel places u,
+    then v, as the centre c or next to it, and then the pair as the ends a
+    and e; its witness may differ from the search's.  Otherwise a first arm
+    of k <= (t - 1) / 2 vertices is grown from ``u``, then the path is grown
+    from ``u`` the other way to its full length.  Exhaustive: returns None
+    only if no such path exists.
     """
     if t < 1:
         raise ValueError("path length must be >= 1")
+    if t == 5 and u != v:
+        full = (1 << len(bits)) - 1
+        for x, y in ((u, v), (v, u)):
+            bs = 1 << y if bits[x] >> y & 1 else bits[y]  # y is b, or an end next to b
+            found = _centred_p5(bits, full, x, bs, 1 << y)
+            for c in members(bits[x] & ~(1 << y)):
+                found = found or _centred_p5(bits, full, c, 1 << x, 1 << y)
+            if found:
+                return path_witness(found)
+        if not bits[u] >> v & 1:
+            for b in members(bits[u] & ~bits[v]):
+                for d in members(bits[v] & ~bits[u] & ~bits[b]):
+                    c = bits[b] & bits[d] & ~bits[u] & ~bits[v] & ~(1 << u | 1 << v)
+                    if c:
+                        return path_witness((u, b, (c & -c).bit_length() - 1, d, v))
+        return None
     path: list[int] = []
 
     def second_arm(arm: list[int]) -> bool:

@@ -158,3 +158,12 @@ def test_find_cmd_rejects_a_non_integer_size(tmp_path, capsys):
     c4.write_text(serialize_graph(cycle(4)))
     assert main(["find", str(c4), "--pattern", "path:x"]) == 1
     assert "pattern 'path:x' has a non-integer size" in capsys.readouterr().err
+
+
+def test_gen_reports_an_exhausted_budget_in_one_line(capsys):
+    # every graph has a vertex, so no seed graph is free of path:1
+    argv = ["gen", "--kind", "class-free", "--n", "5", "--seed", "1", "--forbid", "path:1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "generation budget exhausted: no admissible seed graph\n"
