@@ -31,6 +31,10 @@ neighbors of the centre c, a in N(b) - N[c] - N(d), e in N(d) - N[c] -
 N(b), and a not adjacent to e.  Conversely any such five vertices form an
 induced P5: the conditions fix every pair, and a != e as e is in N(d) and
 a is not.  So a P5 is found by mask ANDs over a centre and a pair.
+
+The induced K_{a,b} search grows its a-side depth first and drops a
+branch once the branch's common neighborhood holds fewer than b candidates,
+so a "no" need not enumerate every independent a-set.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class Witness:
     """A self-verifying forbidden-structure certificate.
 
     kind "path": parts is a single tuple, the path vertices in order.
-    kind "biclique": parts are the two sides (sorted), equal in size.
+    kind "biclique": parts are the two sides (sorted); a K_{a,b} has sides of
+    sizes a and b, which differ when a != b.
     kind "dk2" / "matching": parts are the edges of an induced matching.
     kind "substar": parts are ``(center,)`` and then one (mid, leaf) pair per
     ray of an induced once-subdivided star.
@@ -551,8 +556,13 @@ def _extend_biclique(
     """First induced K_{a,b} whose sides contain the masks ``side_a``, ``side_b``.
 
     The given sides must be independent and complete to each other.  The
-    a-side is completed lexicographically; the b-side is the first
-    independent completion within the a-side's common neighborhood.
+    a-side is completed lexicographically, depth first, carrying the b-pool:
+    the vertices outside the b-side's neighborhood that are adjacent to
+    every a-vertex chosen so far.  The b-side is the first independent
+    completion within the full a-side's pool.  A branch whose pool has fewer
+    than the missing b-vertices is cut: each completion's pool is a subset
+    of it, so the branch holds no witness, and the first witness is the one
+    the uncut enumeration finds.
     """
     full = (1 << len(bits)) - 1
     grow_a, common_a, rim_b = full & ~side_a, full, side_b
@@ -563,25 +573,33 @@ def _extend_biclique(
         grow_a &= bits[w]
         rim_b |= bits[w]
     need_b = b - side_b.bit_count()
-    for more_a in _independent_subsets(bits, a - side_a.bit_count(), grow_a):
-        grow_b = common_a & ~rim_b
-        m = more_a
-        while m:
-            low = m & -m
-            m ^= low
-            grow_b &= bits[low.bit_length() - 1]
-        if grow_b.bit_count() >= need_b:
-            whole_b = next(_independent_subsets(bits, need_b, grow_b, side_b), None)
-            if whole_b is not None:
-                return Witness(BICLIQUE, (members(side_a | more_a), members(whole_b)))
-    return None
+
+    def grow(k: int, cands: int, chosen: int, pool: int) -> Optional[Witness]:
+        if not k:
+            whole_b = next(_independent_subsets(bits, need_b, pool, side_b), None)
+            if whole_b is None:
+                return None
+            return Witness(BICLIQUE, (members(chosen), members(whole_b)))
+        while cands.bit_count() >= k:
+            low = cands & -cands
+            cands ^= low
+            nb = bits[low.bit_length() - 1]
+            if (pool & nb).bit_count() >= need_b:
+                got = grow(k - 1, cands & ~nb, chosen | low, pool & nb)
+                if got is not None:
+                    return got
+        return None
+
+    return grow(a - side_a.bit_count(), grow_a, side_a, common_a & ~rim_b)
 
 
 def find_induced_complete_bipartite(g: Graph, a: int, b: int) -> Optional[Witness]:
     """First induced K_{a,b}: independent sides complete to each other.
 
     The ``a``-side is enumerated lexicographically; the ``b``-side is the
-    first independent b-subset of the common neighborhood.
+    first independent b-subset of the common neighborhood.  A partial a-side
+    whose common neighborhood has fewer than ``b`` vertices is not extended:
+    no extension of it has more, so the witness is the first in that order.
     """
     if a < 1 or b < 1:
         raise ValueError("side sizes must be >= 1")
