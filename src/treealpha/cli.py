@@ -1,7 +1,11 @@
 """Command-line surface.
 
-Exit codes: 0 on success, 2 when a witness or rejection is the answer,
-1 on errors (bad input, violated preconditions).
+Each command returns a JSON record (None for `gen` and `audit`, which
+write their own output) and an exit code; `main` loads the graph, prints
+the record and maps every outcome: 0 on success, 2 when a witness or
+rejection is the answer, 1 on errors (bad input, violated preconditions).
+A refuted input promise is an exit-2 record labelled `rejected-p5`
+(`decompose`), `path-found` (`separator`) or `class-breach` (`dbs-vertex`).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from pathlib import Path
 
 from .decomposer import decompose
 from .degeneracy import alpha_degeneracy, low_alpha_vertex
-from .graph import Graph, GraphParseError, parse_graph, serialize_graph
+from .graph import GraphParseError, parse_graph, serialize_graph
 from .harness import (
     audit_sandwich,
     exact_tia,
@@ -25,29 +29,15 @@ from .harness import (
     write_report,
 )
 from .oracles import ForbiddenStructureFound
-from .separators import (
-    DisconnectedGraphError,
-    dbs_low_alpha_vertex,
-    get_separator_provider,
-    gyarfas_dominated_separator,
-)
+from .separators import dbs_low_alpha_vertex, get_separator_provider, gyarfas_dominated_separator
 from .treedecomp import TreeDecomposition, parse_td, serialize_td, td_alpha, to_record, validate
 
 OK, WITNESS, ERROR = 0, 2, 1
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text())
-
-
-def _cmd_decompose(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_decompose(args, g):
     log: list = []
-    try:
-        result = decompose(g, args.ell, log=log if args.log else None)
-    except ForbiddenStructureFound as exc:
-        print(json.dumps({"outcome": "rejected-p5", "witness": exc.witness.to_record()}))
-        return WITNESS
+    result = decompose(g, args.ell, log=log if args.log else None)
     if isinstance(result, TreeDecomposition):
         payload = {
             "outcome": "decomposition",
@@ -63,84 +53,55 @@ def _cmd_decompose(args) -> int:
         payload = {"outcome": "biclique", "witness": result.to_record()}
     if args.log:
         payload["log"] = log
-    print(json.dumps(payload))
-    return WITNESS if payload["outcome"] == "biclique" else OK
+    return payload, WITNESS if payload["outcome"] == "biclique" else OK
 
 
-def _cmd_check_td(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_check_td(args, g):
     td = parse_td(Path(args.td).read_text())
     problems = validate(g, td)
     if problems:
-        print(json.dumps({"valid": False, "violations": problems}))
-        return WITNESS
-    print(json.dumps({"valid": True, "td_alpha": td_alpha(g, td)}))
-    return OK
+        return {"valid": False, "violations": problems}, WITNESS
+    return {"valid": True, "td_alpha": td_alpha(g, td)}, OK
 
 
-def _cmd_alpha_degeneracy(args) -> int:
-    g = _load_graph(args.graph)
-    print(alpha_degeneracy(g))
-    return OK
+def _cmd_alpha_degeneracy(args, g):
+    return alpha_degeneracy(g), OK
 
 
-def _cmd_find(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_find(args, g):
     w = find_pattern(g, parse_pattern(args.pattern))
     if w is None:
-        print(json.dumps({"found": False}))
-        return OK
-    print(json.dumps({"found": True, "witness": w.to_record()}))
-    return WITNESS
+        return {"found": False}, OK
+    return {"found": True, "witness": w.to_record()}, WITNESS
 
 
-def _cmd_low_alpha(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_low_alpha(args, g):
     report = low_alpha_vertex(g, args.ell, args.d)
-    print(json.dumps(report.to_record()))
-    return WITNESS if report.witness is not None else OK
+    return report.to_record(), WITNESS if report.witness is not None else OK
 
 
-def _cmd_separator(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        cert = gyarfas_dominated_separator(g, args.t)
-    except ForbiddenStructureFound as exc:
-        print(json.dumps({"outcome": "path-found", "witness": exc.witness.to_record()}))
-        return WITNESS
-    except DisconnectedGraphError as exc:
-        print(str(exc), file=sys.stderr)
-        return ERROR
-    print(json.dumps(cert.to_record()))
-    return OK
+def _cmd_separator(args, g):
+    return gyarfas_dominated_separator(g, args.t).to_record(), OK
 
 
-def _cmd_dbs_vertex(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_dbs_vertex(args, g):
     provider = get_separator_provider(f"pt-free:{args.t}")
-    try:
-        v, alpha = dbs_low_alpha_vertex(g, args.ell, args.t - 1, provider)
-    except ForbiddenStructureFound as exc:
-        print(json.dumps({"outcome": "class-breach", "witness": exc.witness.to_record()}))
-        return WITNESS
-    print(json.dumps({"vertex": v, "alpha_closed": alpha}))
-    return OK
+    v, alpha = dbs_low_alpha_vertex(g, args.ell, args.t - 1, provider)
+    return {"vertex": v, "alpha_closed": alpha}, OK
 
 
-def _cmd_exact_tia(args) -> int:
-    g = _load_graph(args.graph)
-    print(exact_tia(g, cap=args.cap))
-    return OK
+def _cmd_exact_tia(args, g):
+    return exact_tia(g, cap=args.cap), OK
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, g):
     if args.kind in ("p5-union-join", "p5-perturb-filter"):
         method = "union-join" if args.kind == "p5-union-join" else "perturb-filter"
         g = gen_p5_free(args.n, args.seed, method)
     elif args.kind == "class-free":
         if not args.forbid:
             print("class-free generation needs --forbid", file=sys.stderr)
-            return ERROR
+            return None, ERROR
         patterns = [parse_pattern(p) for p in args.forbid.split(",")]
         try:
             g = gen_class_free(args.n, args.seed, patterns)
@@ -148,15 +109,15 @@ def _cmd_gen(args) -> int:
             if not str(exc).startswith("generation budget exhausted"):
                 raise  # a failed certification is a bug, not a bad request
             print(str(exc), file=sys.stderr)
-            return ERROR
+            return None, ERROR
     else:
         print(f"unknown kind {args.kind!r}", file=sys.stderr)
-        return ERROR
+        return None, ERROR
     sys.stdout.write(serialize_graph(g))
-    return OK
+    return None, OK
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args, g):
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise NotADirectoryError(f"corpus is not a directory: {args.corpus}")
@@ -172,7 +133,7 @@ def _cmd_audit(args) -> int:
     write_report(records, args.report)
     for ell, worst, bound in summarize(records):
         print(f"ell={ell}: worst bag alpha {worst} (bound {bound})")
-    return ERROR if failures else OK
+    return None, ERROR if failures else OK
 
 
 def main(argv=None) -> int:
@@ -187,7 +148,7 @@ def main(argv=None) -> int:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--emit-td")
     p.add_argument("--log", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=_cmd_decompose, refuted="rejected-p5")
 
     p = sub.add_parser("check-td", help="validate a decomposition file")
     p.add_argument("graph")
@@ -213,13 +174,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("separator", help="dominated balanced separator")
     p.add_argument("graph")
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_separator)
+    p.set_defaults(func=_cmd_separator, refuted="path-found")
 
     p = sub.add_parser("dbs-vertex", help="separator-driven low-alpha vertex")
     p.add_argument("graph")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_dbs_vertex)
+    p.set_defaults(func=_cmd_dbs_vertex, refuted="class-breach")
 
     p = sub.add_parser("exact-tia", help="exact tree-independence number (small n)")
     p.add_argument("graph")
@@ -241,10 +202,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        g = parse_graph(Path(args.graph).read_text()) if "graph" in args else None
+        record, code = args.func(args, g)
+    except ForbiddenStructureFound as exc:
+        if "refuted" not in args:
+            raise
+        record, code = {"outcome": args.refuted, "witness": exc.witness.to_record()}, WITNESS
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return ERROR
+    if record is not None:
+        print(json.dumps(record))
+    return code
 
 
 if __name__ == "__main__":
