@@ -13,18 +13,16 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Union
 
-from .graph import (
-    Graph, VertexSet, closed_neighborhood, is_independent, mask_of, members, vertex_set,
-)
+from .graph import Graph, VertexSet, is_independent, mask_of, members, neighborhood, vertex_set
 from .oracles import (
     DK2,
     MatchingResult,
     Witness,
+    _mis_mask,
     alpha,
     biclique_witness,
     bipartite_max_matching,
     matching_witness,
-    max_independent_subset,
     path_witness,
     verify_witness,
 )
@@ -82,10 +80,7 @@ def near_complete_vertices(
 
 def _private_mask(g: Graph, v: int, group: list[int], y_mask: int) -> int:
     """Neighbors of ``v`` in the Y side not adjacent to any other group member."""
-    others = 0
-    for z in group:
-        if z != v:
-            others |= g.neighbor_bits(z)
+    others = neighborhood(g.adjacency_bits(), mask_of(g, group) & ~(1 << v))
     return g.neighbor_bits(v) & y_mask & ~others
 
 
@@ -245,30 +240,30 @@ def low_alpha_vertex(
     """
     if ell < 2 or d < 2:
         raise ValueError("ell and d must be >= 2")
-    scope = set(range(g.n) if within is None else within)
+    bits = g.adjacency_bits()
+    scope = (1 << g.n) - 1 if within is None else mask_of(g, within)
     if not scope:
         raise ValueError("graph must be non-null")
-    mis = max_independent_subset(g, scope)
-    v = min(mis)
-    nv = tuple(u for u in closed_neighborhood(g, v) if u in scope)
-    j_set = max_independent_subset(g, nv)
-    alpha_closed = len(j_set)
+    mis = _mis_mask(bits, scope)
+    v = (mis & -mis).bit_length() - 1
+    j_mask = _mis_mask(bits, (bits[v] | 1 << v) & scope)
+    alpha_closed = j_mask.bit_count()
     bound = 2 * ell if d == 2 else d * d * ell + 2 * d * ell ** (d - 1)
     if alpha_closed < bound:
         return LowAlphaReport(v, alpha_closed, bound, None)
 
-    i_rest = tuple(u for u in mis if u != v)
+    i_mask = mis ^ 1 << v
+    i_rest, j_set = members(i_mask), members(j_mask)
     # Unreachable: MIS is independent, so it meets N[v] only in v, and J, an
     # independent subset of N[v], holds v only as J = {v}, where
     # alpha(N[v]) = 1 < bound and the report returned above.
-    if set(j_set) & set(mis):
+    if j_mask & mis:
         raise ExtractionError("independent-set oracle inconsistency")
     matching = bipartite_max_matching(g, j_set, i_rest)
     if len(matching.edges) < len(j_set) - 1:
         raise ExtractionError("matching smaller than |J| - 1; oracle inconsistency")
     partner = matching.partner()
     j_matched = sorted(x for x in j_set if x in partner)
-    i_mask = mask_of(g, i_rest)
 
     witness = (
         _extract_d2(g, v, j_matched, partner, i_mask, ell)

@@ -149,6 +149,16 @@ def component(bits: Sequence[int], mask: int) -> int:
     return comp
 
 
+def neighborhood(bits: Sequence[int], mask: int) -> int:
+    """The union of the neighborhoods of the masked vertices, as a bitmask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= bits[low.bit_length() - 1]
+    return out
+
+
 def cocomponent(bits: Sequence[int], mask: int) -> int:
     """The component of the lowest masked vertex in the complement, as a bitmask."""
     frontier = mask & -mask
@@ -185,11 +195,8 @@ def closed_neighborhood(g: Graph, v: int) -> VertexSet:
 
 
 def closed_neighborhood_of_set(g: Graph, s: Iterable[int]) -> VertexSet:
-    out: set[int] = set()
-    for v in s:
-        out.add(v)
-        out.update(g.neighbors(v))
-    return tuple(sorted(out))
+    mask = mask_of(g, s)
+    return members(mask | neighborhood(g.adjacency_bits(), mask))
 
 
 def components(g: Graph, s: Iterable[int]) -> list[VertexSet]:

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .decomposer import approximate_tia
 from .degeneracy import alpha_degeneracy
-from .graph import Graph, component, members, pieces
+from .graph import Graph, component, members, neighborhood, pieces
 from .oracles import (
     SUBSTAR,
     ForbiddenStructureFound,
@@ -110,12 +110,7 @@ def _eliminates_within(bits: Sequence[int], memo: dict[int, int], full: int, k: 
         if s == full:
             return True
         comps = pieces(component, bits, s)
-        rims = []
-        for comp in comps:
-            rim = 0
-            for u in members(comp):
-                rim |= bits[u]
-            rims.append(rim)
+        rims = [neighborhood(bits, comp) for comp in comps]
         for v in members(full ^ s):
             t = s | 1 << v
             if t in seen:

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import (
     Graph, VertexSet, cocomponent, component, is_independent, mask_of, members,
-    pieces, vertex_set,
+    neighborhood, pieces, vertex_set,
 )
 
 
@@ -324,47 +324,42 @@ def bipartite_max_matching(g: Graph, x: Iterable[int], y: Iterable[int]) -> Matc
         raise ValueError("side X is not independent")
     if not is_independent(g, ys):
         raise ValueError("side Y is not independent")
-    yset = set(ys)
-    adj = {u: [v for v in g.neighbors(u) if v in yset] for u in xs}
+    bits, y_mask = g.adjacency_bits(), mask_of(g, ys)
     match_x: dict[int, int] = {}
     match_y: dict[int, int] = {}
 
     for root in xs:
-        # x-vertices of the search path with their untried neighbors, and the
-        # y-vertex each one but the last was left through
-        stack, via, seen = [(root, iter(adj[root]))], [], set()
+        # x-vertices of the search path with their neighbors in Y (the untried
+        # ones are those not seen yet), and the y-vertex each one but the last
+        # was left through
+        stack, via, seen = [(root, bits[root] & y_mask)], [], 0
         while stack:
-            v = next((v for v in stack[-1][1] if v not in seen), None)
-            if v is None:
+            untried = stack[-1][1] & ~seen
+            v = (untried & -untried).bit_length() - 1
+            if v < 0:
                 stack.pop()
                 del via[-1:]
             elif v in match_y:
-                seen.add(v)
+                seen |= 1 << v
                 via.append(v)
-                stack.append((match_y[v], iter(adj[match_y[v]])))
+                stack.append((match_y[v], bits[match_y[v]] & y_mask))
             else:  # augment: each x on the path takes the y it was left through
                 for (u, _), w in zip(stack, via + [v]):
                     match_x[u] = w
                     match_y[w] = u
                 break
 
-    # Konig: alternate from unmatched X along non-matching then matching edges
-    reach_x = {u for u in xs if u not in match_x}
-    reach_y: set[int] = set()
-    frontier = list(sorted(reach_x))
+    # Konig: alternate from unmatched X along non-matching then matching
+    # edges.  A matched x is reached only through its partner, so the reach
+    # in Y is all of N(reach_X) in Y, and each new y brings its partner.
+    frontier = reach_x = sum(1 << u for u in xs if u not in match_x)
+    reach_y = 0
     while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v in reach_y:
-                continue
-            if match_x.get(u) == v:
-                continue
-            reach_y.add(v)
-            w = match_y.get(v)
-            if w is not None and w not in reach_x:
-                reach_x.add(w)
-                frontier.append(w)
-    cover = vertex_set([u for u in xs if u not in reach_x] + [v for v in ys if v in reach_y])
+        new_y = neighborhood(bits, frontier) & y_mask & ~reach_y
+        reach_y |= new_y
+        frontier = sum(1 << match_y[v] for v in members(new_y) if v in match_y)
+        reach_x |= frontier
+    cover = members(mask_of(g, xs) & ~reach_x | reach_y)
     edges = tuple(sorted((u, v) for u, v in match_x.items()))
     return MatchingResult(edges=edges, cover=cover)
 
@@ -649,14 +644,12 @@ def find_induced_subdivided_star(
         cn = bits[center]
         for mid_mask in _independent_subsets(bits, d, cn):
             mids = members(mid_mask)
-            # leaf candidates per ray: private neighbors of each mid
-            pools = []
-            for m in mids:
-                others = 0
-                for m2 in mids:
-                    if m2 != m:
-                        others |= bits[m2]
-                pools.append(bits[m] & ~cn & ~others & ~(1 << center) & ~mid_mask)
+            # leaf candidates per ray: private neighbors of each mid (the mids
+            # lie in N(center), so the center's closed neighborhood bans them)
+            pools = [
+                bits[m] & ~(cn | 1 << center | neighborhood(bits, mid_mask ^ 1 << m))
+                for m in mids
+            ]
             if not all(pools):
                 continue
             leaves: list[int] = []

@@ -24,6 +24,7 @@ from .graph import (
     is_connected,
     mask_of,
     members,
+    neighborhood,
     pieces,
     vertex_set,
 )
@@ -51,7 +52,7 @@ class SeparatorCertificate:
 
     def violations(self, g: Graph) -> list[str]:
         out: list[str] = []
-        if vertex_set(closed_neighborhood_of_set(g, self.x)) != self.dominated:
+        if closed_neighborhood_of_set(g, self.x) != self.dominated:
             out.append("dominated set is not the closed neighborhood of X")
         rest = sorted(set(range(g.n)) - set(self.dominated))
         if list(components(g, rest)) != list(self.component_list):
@@ -99,10 +100,7 @@ def gyarfas_dominated_separator(g: Graph, t: int) -> SeparatorCertificate:
                 component_list=tuple(members(c) for c in comps),
                 bound=g.n // 2,
             )
-        reach = 0
-        for u in members(region):
-            reach |= bits[u]
-        cands = reach & ~region & bits[path[-1]] & prev_region
+        cands = neighborhood(bits, region) & ~region & bits[path[-1]] & prev_region
         if not cands:
             raise RuntimeError("path growth stalled; connectivity invariant broken")
         v = (cands & -cands).bit_length() - 1
@@ -188,9 +186,7 @@ def dbs_low_alpha_vertex(
             x_mask = 1 << best
         else:
             x_mask = _separator_within(g, live, provider)
-        rest = live & ~x_mask
-        for u in members(x_mask):
-            rest &= ~bits[u]
+        rest = live & ~x_mask & ~neighborhood(bits, x_mask)
         if not rest:
             raise RuntimeError("separator removed everything; degree case expected")
         region = max(pieces(component, bits, rest), key=int.bit_count)

@@ -407,7 +407,7 @@ def parse_td(text: str) -> TreeDecomposition:
             bags[node] = vertex_set(nums[1:])
     if count is None:
         raise ValueError("missing td header")
-    if set(bags) != set(range(count)):
+    if len(bags) != count or set(bags) != set(range(count)):
         raise ValueError("bag lines do not cover nodes 0..count-1")
     for line_no, a, b in edges:
         if not (0 <= a < count and 0 <= b < count) or a == b:
