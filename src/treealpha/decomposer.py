@@ -64,7 +64,6 @@ from .treedecomp import (
     cobagged_pairs,
     compress,
     find_bag_containing_set,
-    node_masks,
     single_bag_decomposition,
     subtree_distance,
     td_alpha,
@@ -374,24 +373,24 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     g, td = ctx.g, ctx.td
     if ctx.bad:
         raise ValueError("plain transform requires a non-bad pair")
-    master: list[set[int]] = [set(bag) & ctx.m for bag in td.bags]
-    for u in sorted(ctx.u_all):
+    m = mask_of(g, ctx.m)
+    bags = [b & m for b in td.bag_masks]
+    for u in ctx.u_all:
         span = td.subtree(u)
         for a in (ctx.t_x, ctx.t_y):
             if a not in span:
                 span += td.path_between((a,), span)
         for t in span:
-            master[t].add(u)
+            bags[t] |= 1 << u
     for t in ctx.path_xy:
-        master[t].add(ctx.x)
+        bags[t] |= 1 << ctx.x
 
-    bags: list[VertexSet] = [tuple(sorted(b)) for b in master]
     edges: list[tuple[int, int]] = list(td.edges)
     add_free = ctx.u_all - ctx.uxy
     for comp in ctx.comps:
         rim = _rim(g, comp, ctx.level)
-        _append_copy(td, bags, edges, set(comp) | rim, rim & add_free, ctx.t_y, ctx.t_y)
-    out = TreeDecomposition(tuple(edges), tuple(bags))
+        _append_copy(g, td, bags, edges, rim.union(comp), rim & add_free, ctx.t_y, ctx.t_y)
+    out = TreeDecomposition.from_masks(tuple(edges), bags)
     return _check_surgery_output(ctx, out, "plain-pair surgery")
 
 
@@ -411,43 +410,45 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     k = td.node_count
     r = ctx.root
 
-    # intermediate master bags
-    inter = [(set(bag) & ctx.m) | ctx.movable for bag in td.bags]
-    ride_along = {ctx.x} | (ctx.uy - ctx.movable)
+    # intermediate master bags.  Each T(a), a in M, stays connected, as the
+    # Helly errors below need: ``td`` is valid, the movable fill every bag, and
+    # the anchor path meets T(x) at t_x and each y-side straggler's T at t_y.
+    m, movable = mask_of(g, ctx.m), mask_of(g, ctx.movable)
+    bags = [b & m | movable for b in td.bag_masks]
+    ride_along = 1 << ctx.x | mask_of(g, ctx.uy - ctx.movable)
     for t in ctx.path_xy:
-        inter[t] |= ride_along
+        bags[t] |= ride_along
 
     # pull split outside vertices into the master
-    subtree_of = node_masks(inter)
+    master = TreeDecomposition.from_masks(td.edges, bags)
     parent, below = _rooted_masks(td)
-    final: list[set[int]] = [set(b) for b in inter]
     pulled: set[int] = set()
     for c in sorted(ctx.level - ctx.m - {r}):
-        marks = [subtree_of[a] for a in g.neighbors(c) if a in ctx.m]
+        marks = [master.node_mask(a) for a in g.neighbors(c) if a in ctx.m]
         if not marks or reduce(and_, marks):  # none, or one master bag holds all
             continue
         for t in _forced_nodes(td, parent, below, marks):
-            final[t].add(c)
+            bags[t] |= 1 << c
         pulled.add(c)
 
     # anchor node per original outside component, by vertex
-    final_masks = node_masks(final)
+    master = TreeDecomposition.from_masks(td.edges, bags)
     anchor_of: dict[int, int] = {}
     for comp in ctx.comps:
         key = sorted(_rim(g, comp, ctx.level) - ctx.uxy)
-        fit = reduce(and_, (final_masks[v] for v in key), (1 << k) - 1)
+        fit = reduce(and_, map(master.node_mask, key), (1 << k) - 1)
         if fit:
             t_c = min(members(fit), key=lambda t: (len(td.tree_path(ctx.t_x, t)), t))
         else:
-            t_c = _split_anchor(td, final_masks, key)
-        missing = [v for v in comp if v in pulled and not final_masks[v] >> t_c & 1]
+            t_c = _split_anchor(master, key)
+        missing = [v for v in comp if v in pulled and not bags[t_c] >> v & 1]
         if missing:
             _postcondition_failure(
                 g, ell, f"pulled vertices {missing} missed their anchor bag"
             )
         for d in sorted(set(comp) - pulled):
             for a in g.neighbors(d):
-                if a in ctx.m and a not in final[t_c]:
+                if a in ctx.m and not bags[t_c] >> a & 1:
                     _postcondition_failure(
                         g, ell,
                         f"attachment {a} of a remaining outside vertex {d} "
@@ -455,28 +456,27 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
                     )
         anchor_of.update(dict.fromkeys(comp, t_c))
 
-    bags: list[VertexSet] = [tuple(sorted(b)) for b in final]
     edges: list[tuple[int, int]] = list(td.edges)
     rest = sorted(ctx.level - ctx.m - pulled - {r})
     for dcomp in components(g, rest):
         rim = _rim(g, dcomp, ctx.level)
         anchor = anchor_of[dcomp[0]]
-        _append_copy(td, bags, edges, set(dcomp) | rim, rim - ctx.uxy, anchor, ctx.t_x)
-    out = TreeDecomposition(tuple(edges), tuple(bags))
+        _append_copy(g, td, bags, edges, rim.union(dcomp), rim - ctx.uxy, anchor, ctx.t_x)
+    out = TreeDecomposition.from_masks(tuple(edges), bags)
     return _check_surgery_output(ctx, out, "bad-pair surgery")
 
 
 def _append_copy(
-    td: TreeDecomposition, bags: list[VertexSet], edges: list[tuple[int, int]],
+    g: Graph, td: TreeDecomposition, bags: list[int], edges: list[tuple[int, int]],
     keep: set[int], spread: set[int], anchor: int, at: int,
 ) -> None:
     """Append an outside component's copy of ``td`` to ``bags`` and ``edges``.
 
-    Each bag is cut to ``keep`` (the component and its rim) plus ``spread``,
-    and the copy's node ``at`` is joined to master node ``anchor``.
+    Each bag mask is cut to ``keep`` (the component and its rim) plus
+    ``spread``, and the copy's node ``at`` is joined to master node ``anchor``.
     """
-    offset = len(bags)
-    bags.extend(tuple(sorted((set(bag) & keep) | spread)) for bag in td.bags)
+    offset, keep, spread = len(bags), mask_of(g, keep), mask_of(g, spread)
+    bags.extend(b & keep | spread for b in td.bag_masks)
     edges.extend((a + offset, b + offset) for a, b in td.edges)
     edges.append((anchor, offset + at))
 
@@ -513,19 +513,21 @@ def _forced_nodes(
             out.add(child)
             out.add(p)
     if not out:
+        # Unreached for connected marks: with no common node, two of them are
+        # disjoint (Helly property of subtrees of a tree), and the first edge
+        # of the shortest node path between those two separates them.
         raise DecompositionError("split neighborhood without a separating edge")
     return out
 
 
-def _split_anchor(
-    td: TreeDecomposition, masks: dict[int, int], key: list[int]
-) -> int:
+def _split_anchor(master: TreeDecomposition, key: list[int]) -> int:
     """Anchor for a component whose attachments fit no single master bag."""
     for i, a in enumerate(key):
         for b in key[i + 1 :]:
-            sa, sb = masks[a], masks[b]
-            if not sa & sb:
-                return min(td.path_between(set(members(sa)), set(members(sb))))
+            if not master.node_mask(a) & master.node_mask(b):
+                return min(master.path_between_subtrees(a, b))
+    # Unreached for connected T(a): subtrees of a tree that pairwise meet
+    # share a node (Helly), and the caller found no node common to all.
     raise DecompositionError("attachments pairwise meet yet fit no bag")
 
 

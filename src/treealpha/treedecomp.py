@@ -1,8 +1,9 @@
 """Tree decompositions: data model, validation, bag independence number.
 
 A decomposition is a tree of nodes (dense 0-based ids) with one bag of graph
-vertices per node.  Instances are immutable; the restructuring operations in
-:mod:`treealpha.decomposer` always build new decompositions.
+vertices per node: a vertex bitmask inside (``bag_masks``, which the engine
+reads), a sorted tuple at the boundary (``bags``).  Instances are immutable;
+the restructuring operations in :mod:`treealpha.decomposer` build new ones.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .graph import Graph, VertexSet, mask_of, members, vertex_set
+from .graph import Graph, VertexSet, mask_of, members, neighborhood, vertex_set
 from .oracles import alpha_exceeds, alpha_mask
 
 
@@ -31,7 +32,8 @@ class RootedIndex(NamedTuple):
 class TreeDecomposition:
     """A tree plus one bag per node.
 
-    ``edges`` are tree edges between node ids ``0 .. len(bags)-1``.  The
+    ``edges`` are tree edges between node ids ``0 .. len(bags)-1``, and
+    ``bag_masks[t]`` is ``bags[t]`` as a vertex bitmask.  The
     subtree index is derived once by :func:`node_masks` (and extended, not
     rebuilt, by :meth:`with_leaf`): :meth:`node_mask` is T(v), the nodes
     whose bag holds ``v``, as a bitmask of node ids.  The
@@ -45,9 +47,12 @@ class TreeDecomposition:
     bags: tuple[VertexSet, ...]
     _node_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _masks: dict[int, int] = field(init=False, repr=False, compare=False)
-    # A declared field, not functools.cached_property: on CPython 3.11 a
+    # Declared fields, not functools.cached_property: on CPython 3.11 a
     # write through the instance __dict__ slows every later attribute read.
     _rooted: Optional[RootedIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _bag_masks: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -64,14 +69,31 @@ class TreeDecomposition:
         )
         object.__setattr__(self, "_masks", node_masks(self.bags))
 
+    @classmethod
+    def from_masks(cls, edges: tuple[tuple[int, int], ...], masks: Sequence[int]):
+        """The decomposition whose bag ``t`` holds the vertices of ``masks[t]``."""
+        out = cls(edges, tuple(map(members, masks)))
+        object.__setattr__(out, "_bag_masks", tuple(masks))
+        return out
+
+    @property
+    def bag_masks(self) -> tuple[int, ...]:
+        """Each bag as a vertex bitmask, derived from ``bags`` on first use:
+        a vertex id read from a file costs no mask before :func:`validate`
+        has checked it against the graph."""
+        if self._bag_masks is None:
+            masks = tuple(sum(1 << v for v in set(bag)) for bag in self.bags)
+            object.__setattr__(self, "_bag_masks", masks)
+        return self._bag_masks
+
     def with_leaf(self, t: int, bag: VertexSet) -> "TreeDecomposition":
         """This decomposition plus a new last node holding ``bag``, a leaf at ``t``.
 
         Equal to ``TreeDecomposition(edges + ((t, k),), bags + (bag,))`` with
-        ``k = node_count``, but it extends the node adjacency and copies the
-        subtree index, setting only the new node's bit, instead of rebuilding
-        both.  The rooted index is not copied: the root is the last node, so
-        it moves to the new leaf.
+        ``k = node_count``, but it extends the node adjacency and bag masks and
+        copies the subtree index, setting only the new node's bit, instead of
+        rebuilding them.  The rooted index is not copied: the root is the last
+        node, so it moves to the new leaf.
         """
         k = len(self.bags)
         if not 0 <= t < k:
@@ -80,12 +102,14 @@ class TreeDecomposition:
         adj[t] += (k,)  # k exceeds every node id, so adj[t] stays sorted
         adj.append((t,))
         masks = dict(self._masks)
-        bit = 1 << k
+        bit, mask = 1 << k, 0
         for v in bag:
             masks[v] = masks.get(v, 0) | bit
+            mask |= 1 << v
         out = object.__new__(TreeDecomposition)
         object.__setattr__(out, "edges", self.edges + ((t, k),))
         object.__setattr__(out, "bags", self.bags + (bag,))
+        object.__setattr__(out, "_bag_masks", self.bag_masks + (mask,))
         object.__setattr__(out, "_node_adj", tuple(adj))
         object.__setattr__(out, "_masks", masks)
         object.__setattr__(out, "_rooted", None)
@@ -235,11 +259,14 @@ def validate(
             continue
         if sum(not nodes & up[t] for t in members(nodes)) != 1:
             out.append(f"vertex {v} has a disconnected bag set")
+    # every bag vertex is in scope, so the bag masks are as small as the graph
+    within = (1 << g.n) - 1 if vertices is None else mask_of(g, scope)
+    bits, bags = g.adjacency_bits(), td.bag_masks
     for u in scope:
-        mu = td.node_mask(u)
-        for v in g.neighbors(u):
-            if u < v and v in inside and not mu & td.node_mask(v):
-                out.append(f"edge {u}-{v} not covered by any bag")
+        # the neighbors above u that share no bag with u, ascending
+        above = bits[u] & within & -(2 << u)
+        if above and (missed := above & ~neighborhood(bags, td.node_mask(u))):
+            out.extend(f"edge {u}-{v} not covered by any bag" for v in members(missed))
     return out
 
 
@@ -252,9 +279,10 @@ def td_alpha_exceeds(g: Graph, td: TreeDecomposition, k: int) -> bool:
     """Whether some bag has an independent set of more than ``k`` vertices.
 
     The decision form of ``td_alpha(g, td) > k``; it stops at the first bag
-    past the bound, and a repeated bag reads the value oracle's memo.
+    past the bound, a repeated bag reads the value oracle's memo, and the bag
+    masks are read unchecked (engine bags hold graph vertices only).
     """
-    return any(alpha_exceeds(g, mask_of(g, bag), k) for bag in td.bags)
+    return any(alpha_exceeds(g, mask, k) for mask in td.bag_masks)
 
 
 def cobagged_pairs(td: TreeDecomposition, s: Iterable[int]) -> set[frozenset[int]]:
@@ -298,8 +326,7 @@ def closed_neighborhood_bag(g: Graph, td: TreeDecomposition) -> tuple[int, int]:
         home = min(nodes, key=lambda t: (depth[t], t))
         if depth[home] > best_depth:
             best_v, best_home, best_depth = v, home, depth[home]
-    bag = set(td.bags[best_home])
-    if not set(g.neighbors(best_v)) | {best_v} <= bag:
+    if (g.neighbor_bits(best_v) | 1 << best_v) & ~td.bag_masks[best_home]:
         raise ValueError("no closed neighborhood fits a bag; decomposition invalid")
     return best_home, best_v
 
@@ -335,11 +362,11 @@ def compress(td: TreeDecomposition) -> TreeDecomposition:
     changes no bag, so the scan contracts what rescanning from node 0 after
     every contraction would, in the same order.
     """
-    bags = [set(b) for b in td.bags]
+    bags = td.bag_masks
     adj = [set(td.node_neighbors(t)) for t in range(td.node_count)]
     alive = [True] * td.node_count
     for t in range(td.node_count):  # an absorbed node has no neighbors left
-        while inner := [s for s in adj[t] if bags[s] <= bags[t]]:
+        while inner := [s for s in adj[t] if not bags[s] & ~bags[t]]:
             s = min(inner)
             for q in adj[s]:
                 if q != t:
@@ -351,15 +378,8 @@ def compress(td: TreeDecomposition) -> TreeDecomposition:
             adj[s] = set()
     keep = [t for t in range(td.node_count) if alive[t]]
     index = {t: i for i, t in enumerate(keep)}
-    edges = sorted(
-        (min(index[a], index[b]), max(index[a], index[b]))
-        for a in keep
-        for b in adj[a]
-        if a < b
-    )
-    return TreeDecomposition(
-        tuple(edges), tuple(tuple(sorted(bags[t])) for t in keep)
-    )
+    edges = sorted((index[a], index[b]) for a in keep for b in adj[a] if a < b)
+    return TreeDecomposition.from_masks(tuple(edges), [bags[t] for t in keep])
 
 
 # -- serialization ------------------------------------------------------------
@@ -399,7 +419,7 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise ValueError(f"line {line_no}: malformed edge line")
             edges.append((line_no, *nums))
         else:
-            if not nums:
+            if not nums or min(nums[1:], default=0) < 0:
                 raise ValueError(f"line {line_no}: malformed bag line")
             node = nums[0]
             if node in bags:
