@@ -227,8 +227,8 @@ def _random_cograph_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
 
 
 def _graph_of(bits: Sequence[int]) -> Graph:
-    n = len(bits)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if bits[u] >> v & 1])
+    edges = [(u, v) for u, row in enumerate(bits) for v in members(row >> u + 1 << u + 1)]
+    return Graph(len(bits), edges)
 
 
 def _found_through(bits: Sequence[int], pattern: tuple, u: int, v: int) -> bool:

@@ -32,6 +32,15 @@ N(b), and a not adjacent to e.  Conversely any such five vertices form an
 induced P5: the conditions fix every pair, and a != e as e is in N(d) and
 a is not.  So a P5 is found by mask ANDs over a centre and a pair.
 
+A P5 through two given vertices u and v is found by where they sit on
+a-b-c-d-e.  Reversing the path maps {c,d} to {b,c}, {d,e} to {a,b}, {c,e}
+to {a,c} and {b,e} to {a,d}, and maps {b,d} and {a,e} to themselves.  So
+of the ten position pairs, six cases cover all: adjacent u, v at {b,c} or
+{a,b}, non-adjacent ones at {a,c}, {a,d}, {b,d} or {a,e}, each in either
+order.  Each case fixes two positions, tries every choice of two more
+vertices and finds the fifth by one mask test; as the cases cover every
+placement, a "no" is exact.
+
 The induced K_{a,b} search grows its a-side depth first and drops a
 branch once the branch's common neighborhood holds fewer than b candidates,
 so a "no" need not enumerate every independent a-set.
@@ -439,23 +448,23 @@ def _has_induced_path(bits: Sequence[int], t: int, mask: int) -> bool:
         if len(parts) > 1:
             todo += [c for c in parts if c.bit_count() >= t]
         elif t == 5:
-            if any(_centred_p5(bits, m, c, m, 0) for c in members(m)):
+            if any(_centred_p5(bits, m, c) for c in members(m)):
                 return True
         elif _induced_path_within(bits, t, m) is not None:
             return True
     return False
 
 
-def _centred_p5(bits: Sequence[int], m: int, c: int, bs: int, need: int) -> Optional[tuple]:
-    """An induced P5 a-b-c-d-e of G[m] centred at ``c``, or None.
+def _centred_p5(bits: Sequence[int], m: int, c: int) -> bool:
+    """Whether G[m] has an induced P5 a-b-c-d-e centred at ``c``.
 
-    Tries each pair {b, d} of non-adjacent neighbors of c with b in ``bs``
-    once (see the module docstring); the path must hold ``need``'s vertex.
+    Tries each pair {b, d} of non-adjacent neighbors of c once (see the
+    module docstring).
     """
     near = bits[c] & m
     far = m & ~near & ~(1 << c)
     seen = 0
-    for b in members(near & bs):
+    for b in members(near):
         seen |= 1 << b
         ds = near & ~bits[b] & ~seen
         while ds:
@@ -464,50 +473,79 @@ def _centred_p5(bits: Sequence[int], m: int, c: int, bs: int, need: int) -> Opti
             d = low.bit_length() - 1
             ends_a = bits[b] & far & ~bits[d]
             ends_e = bits[d] & far & ~bits[b]
-            rest = need & ~(1 << b | 1 << d)
-            if rest & ends_a:
-                ends_a = rest
-            elif rest & ends_e:
-                ends_e = rest
-            elif rest:
-                continue
             while ends_a and ends_e:
                 a = ends_a & -ends_a
                 ends_a ^= a
-                e = ends_e & ~bits[a.bit_length() - 1]
+                if ends_e & ~bits[a.bit_length() - 1]:
+                    return True
+    return False
+
+
+def _low(mask: int) -> int:
+    """The least vertex of a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _p5_through(bits: Sequence[int], u: int, v: int) -> Optional[tuple]:
+    """An induced P5 a-b-c-d-e holding ``u`` and ``v`` (u != v), or None.
+
+    One loop per pair of cases of the module docstring, each case in both
+    orders: x and y below are u and v in the order that the loop's current
+    vertex decides.  Outside vertices are named by their path position.
+    """
+    nu, nv = bits[u], bits[v]
+    out = ~(nu | nv)  # neither u nor v, nor next to either
+    if nu >> v & 1:
+        side = (nu ^ nv) & ~(1 << u | 1 << v)  # next to exactly one of u, v
+        for p in members(side & nu):  # {b,c}: p-u-v-q and an end next to p or q
+            for q in members(side & nv & ~bits[p]):
+                e = (bits[p] ^ bits[q]) & out
                 if e:
-                    return a.bit_length() - 1, b, c, d, (e & -e).bit_length() - 1
+                    e = _low(e)
+                    return (p, u, v, q, e) if bits[q] >> e & 1 else (e, p, u, v, q)
+        for c in members(side):  # {a,b}: x-y-c-d-e with y next to c
+            x, y = (v, u) if nu >> c & 1 else (u, v)
+            for d in members(bits[c] & out):
+                e = bits[d] & out & ~bits[c]
+                if e:
+                    return x, y, c, d, _low(e)
+        return None
+    for w in members(nu & nv):  # {a,c}: x-w-y-d-e, and {b,d}: d-y-w-x-e
+        side = (nu ^ nv) & ~bits[w]
+        for d in members(side):
+            x, y = (v, u) if nu >> d & 1 else (u, v)
+            e = bits[d] & out & ~bits[w]
+            if e:
+                return x, w, y, d, _low(e)
+            e = side & bits[x] & ~bits[d]
+            if e:
+                return d, y, w, x, _low(e)
+    for b in members(nu ^ nv):  # {a,d}: x-b-c-y-e, and {a,e}: x-b-c-d-y
+        x, y = (u, v) if nu >> b & 1 else (v, u)
+        rest = bits[y] & ~bits[x] & ~bits[b]
+        for c in members(bits[b] & ~bits[x] & ~(1 << x)):
+            at_d = bits[y] >> c & 1
+            last = rest & ~bits[c] if at_d else rest & bits[c]
+            if last:
+                return (x, b, c, y, _low(last)) if at_d else (x, b, c, _low(last), y)
     return None
 
 
 def path_through(bits: Sequence[int], t: int, u: int, v: int) -> Optional[Witness]:
     """An induced path on ``t`` vertices containing both ``u`` and ``v``, or None.
 
-    ``bits`` are adjacency masks.  For t = 5 the centre kernel places u,
-    then v, as the centre c or next to it, and then the pair as the ends a
-    and e; its witness may differ from the search's.  Otherwise a first arm
-    of k <= (t - 1) / 2 vertices is grown from ``u``, then the path is grown
-    from ``u`` the other way to its full length.  Exhaustive: returns None
-    only if no such path exists.
+    ``bits`` are adjacency masks.  For t = 5 and u != v, ``_p5_through``
+    tries u and v at each of the six position cases of the module
+    docstring; its witness may differ from the search's.  Otherwise a first
+    arm of k <= (t - 1) / 2 vertices is grown from ``u``, then the path is
+    grown from ``u`` the other way to its full length.  Exhaustive: returns
+    None only if no such path exists.
     """
     if t < 1:
         raise ValueError("path length must be >= 1")
     if t == 5 and u != v:
-        full = (1 << len(bits)) - 1
-        for x, y in ((u, v), (v, u)):
-            bs = 1 << y if bits[x] >> y & 1 else bits[y]  # y is b, or an end next to b
-            found = _centred_p5(bits, full, x, bs, 1 << y)
-            for c in members(bits[x] & ~(1 << y)):
-                found = found or _centred_p5(bits, full, c, 1 << x, 1 << y)
-            if found:
-                return path_witness(found)
-        if not bits[u] >> v & 1:
-            for b in members(bits[u] & ~bits[v]):
-                for d in members(bits[v] & ~bits[u] & ~bits[b]):
-                    c = bits[b] & bits[d] & ~bits[u] & ~bits[v] & ~(1 << u | 1 << v)
-                    if c:
-                        return path_witness((u, b, (c & -c).bit_length() - 1, d, v))
-        return None
+        found = _p5_through(bits, u, v)
+        return path_witness(found) if found else None
     path: list[int] = []
 
     def second_arm(arm: list[int]) -> bool:
