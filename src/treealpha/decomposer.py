@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import (
@@ -343,19 +343,33 @@ def select_pair(
     """The pair to merge next: bad pairs first, then maximum subtree distance.
 
     Bad means the private outside-neighborhood of x away from y holds an
-    independent set of size ``ell``.  Ties break lexicographically.
+    independent set of size ``ell``.  Ties break lexicographically.  The
+    level is the OR of the bag masks plus r, and each outside-neighborhood
+    is one AND with it.  A distance depends only on T(x) and T(y), so it is
+    computed once per pair of subtrees; the pairs come in lexicographic
+    order, so the first one at the largest distance is the choice.
     """
     pairs = enumerate_uncobagged_pairs(g, r, td)
     if not pairs:
         return None
-    nrbar = _nrbar(g, r, *_level(g, r, td))
+    bits = g.adjacency_bits()
+    level = reduce(or_, td.bag_masks, 1 << r)
+    far = level & ~bits[r] & ~(1 << r)
+    nrbar = {u: bits[u] & far for u in members(bits[r] & level)}
     bads = [
-        (x, y)
-        for x, y in pairs
-        if alpha_exceeds(g, mask_of(g, nrbar[x] - nrbar[y]), ell - 1)
+        (x, y) for x, y in pairs
+        if alpha_exceeds(g, nrbar[x] & ~nrbar[y], ell - 1)
     ]
-    x, y = max(bads or pairs, key=lambda p: (subtree_distance(td, *p), -p[0], -p[1]))
-    return x, y, bool(bads)
+    best, most = pairs[0], -1
+    dist: dict[tuple[int, int], int] = {}
+    for x, y in bads or pairs:
+        mx, my = td.node_mask(x), td.node_mask(y)
+        key = (mx, my) if mx < my else (my, mx)
+        if (d := dist.get(key)) is None:
+            d = dist[key] = subtree_distance(td, x, y)
+        if d > most:
+            best, most = (x, y), d
+    return *best, bool(bads)
 
 
 # -- the two surgeries --------------------------------------------------------
@@ -563,12 +577,13 @@ def saturate_root(
     bag) and compresses; the round's co-bagged pairs, checked to grow
     strictly in the surgery and to survive compression, are the next round's
     start.  So they grow every round, and since they are drawn from the
-    C(d, 2) pairs of N(r), d = deg r, the loop ends within C(d, 2) rounds.
+    C(d, 2) pairs of N(r), d = deg r, the loop ends within C(d, 2) rounds;
+    with d < 2 there is no pair, and no round.
     """
     nr = _root_neighbors(g, r, td)
     entry = {"root": r, "degree": len(nr), "iterations": 0, "pairs": []}
     before = None
-    while (sel := select_pair(g, r, td, ell)) is not None:
+    while len(nr) > 1 and (sel := select_pair(g, r, td, ell)) is not None:
         x, y, bad = sel
         if before is None:
             before = cobagged_pairs(td, nr)

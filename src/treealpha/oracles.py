@@ -605,25 +605,38 @@ def _extend_biclique(
     for w in members(side_b):
         grow_a &= bits[w]
         rim_b |= bits[w]
-    need_b = b - side_b.bit_count()
+    return _grow_a_side(
+        bits, b - side_b.bit_count(), side_b,
+        a - side_a.bit_count(), grow_a, side_a, common_a & ~rim_b,
+    )
 
-    def grow(k: int, cands: int, chosen: int, pool: int) -> Optional[Witness]:
-        if not k:
-            whole_b = next(_independent_subsets(bits, need_b, pool, side_b), None)
-            if whole_b is None:
-                return None
-            return Witness(BICLIQUE, (members(chosen), members(whole_b)))
-        while cands.bit_count() >= k:
-            low = cands & -cands
-            cands ^= low
-            nb = bits[low.bit_length() - 1]
-            if (pool & nb).bit_count() >= need_b:
-                got = grow(k - 1, cands & ~nb, chosen | low, pool & nb)
-                if got is not None:
-                    return got
-        return None
 
-    return grow(a - side_a.bit_count(), grow_a, side_a, common_a & ~rim_b)
+def _grow_a_side(
+    bits: Sequence[int], need_b: int, side_b: int,
+    k: int, cands: int, chosen: int, pool: int,
+) -> Optional[Witness]:
+    """``_extend_biclique``'s depth-first search: ``k`` more a-vertices from
+    ``cands`` next to ``chosen``, the b-side's ``need_b`` more from ``pool``.
+
+    A module function, not a closure: a recursive closure holds itself in
+    its own cell, a cycle only the cyclic collector frees.
+    """
+    if not k:
+        whole_b = next(_independent_subsets(bits, need_b, pool, side_b), None)
+        if whole_b is None:
+            return None
+        return Witness(BICLIQUE, (members(chosen), members(whole_b)))
+    while cands.bit_count() >= k:
+        low = cands & -cands
+        cands ^= low
+        nb = bits[low.bit_length() - 1]
+        if (pool & nb).bit_count() >= need_b:
+            got = _grow_a_side(
+                bits, need_b, side_b, k - 1, cands & ~nb, chosen | low, pool & nb
+            )
+            if got is not None:
+                return got
+    return None
 
 
 def find_induced_complete_bipartite(g: Graph, a: int, b: int) -> Optional[Witness]:
@@ -691,20 +704,29 @@ def find_induced_subdivided_star(
             if not all(pools):
                 continue
             leaves: list[int] = []
-
-            def pick(i: int, banned: int) -> bool:
-                if i == d:
-                    return True
-                options = pools[i] & ~banned
-                while options:
-                    low = options & -options
-                    options ^= low
-                    leaves.append(low.bit_length() - 1)
-                    if pick(i + 1, banned | low | bits[leaves[-1]]):
-                        return True
-                    leaves.pop()
-                return False
-
-            if pick(0, 0):
+            if _pick_leaves(bits, pools, leaves, 0):
                 return center, tuple(zip(mids, leaves))
     return None
+
+
+def _pick_leaves(
+    bits: Sequence[int], pools: list[int], leaves: list[int], banned: int
+) -> bool:
+    """Complete ``leaves`` to one leaf per ray of ``pools``, depth first, each
+    leaf outside ``banned`` and the closed neighborhoods of the earlier ones;
+    False, with ``leaves`` as given, if no completion exists.
+
+    A module function for the reason ``_grow_a_side`` gives.
+    """
+    i = len(leaves)
+    if i == len(pools):
+        return True
+    options = pools[i] & ~banned
+    while options:
+        low = options & -options
+        options ^= low
+        leaves.append(low.bit_length() - 1)
+        if _pick_leaves(bits, pools, leaves, banned | low | bits[leaves[-1]]):
+            return True
+        leaves.pop()
+    return False

@@ -227,7 +227,9 @@ def validate(
     nonempty connected set of bags, and that every edge is inside some bag.
     With ``vertices`` given, ``td`` is checked against the subgraph they
     induce: a bag vertex outside them is outside the graph, and only edges
-    with both ends among them must be covered.
+    with both ends among them must be covered.  In the rooted tree a
+    nonempty T(v) is connected exactly when one of its nodes has its parent
+    outside it; one fold of the children masks over T(v) finds those nodes.
     """
     scope = range(g.n) if vertices is None else vertex_set(vertices)
     inside = set(scope)
@@ -251,13 +253,16 @@ def validate(
         if len(set(bag)) < len(bag):
             v = next(v for i, v in enumerate(bag) if v in bag[:i])
             out.append(f"bag {t} repeats vertex {v}")
-    up = [1 << p if p >= 0 else 0 for p in parent]  # no bit at the root
+    children = [0] * k
+    for t in order[1:]:
+        children[parent[t]] |= 1 << t
     for v in scope:
         nodes = td.node_mask(v)
         if not nodes:
             out.append(f"vertex {v} appears in no bag")
             continue
-        if sum(not nodes & up[t] for t in members(nodes)) != 1:
+        tops = nodes & ~neighborhood(children, nodes)
+        if tops & (tops - 1):
             out.append(f"vertex {v} has a disconnected bag set")
     # every bag vertex is in scope, so the bag masks are as small as the graph
     within = (1 << g.n) - 1 if vertices is None else mask_of(g, scope)
@@ -361,25 +366,36 @@ def compress(td: TreeDecomposition) -> TreeDecomposition:
     and bag(q) does not contain bag(s), which bag(t) contains.  A contraction
     changes no bag, so the scan contracts what rescanning from node 0 after
     every contraction would, in the same order.
+
+    Node adjacency is held as node masks.  A neighbor found not contained in
+    bag(t) stays so, so t's scan goes upward from the lowest bit of the
+    neighbors it has not tried yet, and those of an absorbed node join them.
     """
     bags = td.bag_masks
-    adj = [set(td.node_neighbors(t)) for t in range(td.node_count)]
-    alive = [True] * td.node_count
-    for t in range(td.node_count):  # an absorbed node has no neighbors left
-        while inner := [s for s in adj[t] if not bags[s] & ~bags[t]]:
-            s = min(inner)
-            for q in adj[s]:
-                if q != t:
-                    adj[q].discard(s)
-                    adj[q].add(t)
-                    adj[t].add(q)
-            adj[t].discard(s)
-            alive[s] = False
-            adj[s] = set()
-    keep = [t for t in range(td.node_count) if alive[t]]
+    k = td.node_count
+    adj = [sum(1 << s for s in td.node_neighbors(t)) for t in range(k)]
+    alive = (1 << k) - 1
+    for t in range(k):  # an absorbed node has no neighbors left
+        bag, untried = bags[t], adj[t]
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            s = low.bit_length() - 1
+            if bags[s] & ~bag:
+                continue
+            gained = adj[s] & ~(1 << t)
+            for q in members(gained):
+                adj[q] = adj[q] & ~low | 1 << t
+            adj[t] = (adj[t] | gained) & ~low
+            untried |= gained
+            alive ^= low
+            adj[s] = 0
+    keep = members(alive)
     index = {t: i for i, t in enumerate(keep)}
-    edges = sorted((index[a], index[b]) for a in keep for b in adj[a] if a < b)
-    return TreeDecomposition.from_masks(tuple(edges), [bags[t] for t in keep])
+    edges = tuple(
+        (index[a], index[b]) for a in keep for b in members(adj[a] >> a + 1 << a + 1)
+    )
+    return TreeDecomposition.from_masks(edges, [bags[t] for t in keep])
 
 
 # -- serialization ------------------------------------------------------------
