@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import (
     Graph, VertexSet, component, components, is_complete_between, mask_of,
-    members, pieces, vertex_set,
+    members, neighborhood, pieces,
 )
 from .oracles import (
     BICLIQUE,
@@ -101,16 +101,16 @@ def _nrbar(
     g: Graph, r: int, level: set[int], nr: VertexSet
 ) -> dict[int, set[int]]:
     """For each neighbor u of r, the neighbors of u in the level outside N[r]."""
-    far = level.difference(nr, (r,))
-    return {u: far.intersection(g.neighbors(u)) for u in nr}
+    bits = g.adjacency_bits()
+    far = mask_of(g, level) & ~bits[r] & ~(1 << r)
+    return {u: set(members(bits[u] & far)) for u in nr}
 
 
 def _rim(g: Graph, comp: VertexSet, level: set[int]) -> set[int]:
     """Neighbors of the vertex set ``comp`` in the level, outside comp."""
-    inside = set(comp)
-    return {
-        u for c in comp for u in g.neighbors(c) if u in level and u not in inside
-    }
+    inside = mask_of(g, comp)
+    rim = neighborhood(g.adjacency_bits(), inside) & ~inside
+    return level.intersection(members(rim))
 
 
 def _raise_with_witness(g: Graph, w: Witness, msg: str) -> None:
@@ -427,7 +427,7 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     # intermediate master bags.  Each T(a), a in M, stays connected, as the
     # Helly errors below need: ``td`` is valid, the movable fill every bag, and
     # the anchor path meets T(x) at t_x and each y-side straggler's T at t_y.
-    m, movable = mask_of(g, ctx.m), mask_of(g, ctx.movable)
+    bits, m, movable = g.adjacency_bits(), mask_of(g, ctx.m), mask_of(g, ctx.movable)
     bags = [b & m | movable for b in td.bag_masks]
     ride_along = 1 << ctx.x | mask_of(g, ctx.uy - ctx.movable)
     for t in ctx.path_xy:
@@ -438,7 +438,7 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     parent, below = _rooted_masks(td)
     pulled: set[int] = set()
     for c in sorted(ctx.level - ctx.m - {r}):
-        marks = [master.node_mask(a) for a in g.neighbors(c) if a in ctx.m]
+        marks = [master.node_mask(a) for a in members(bits[c] & m)]
         if not marks or reduce(and_, marks):  # none, or one master bag holds all
             continue
         for t in _forced_nodes(td, parent, below, marks):
@@ -461,13 +461,12 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
                 g, ell, f"pulled vertices {missing} missed their anchor bag"
             )
         for d in sorted(set(comp) - pulled):
-            for a in g.neighbors(d):
-                if a in ctx.m and not bags[t_c] >> a & 1:
-                    _postcondition_failure(
-                        g, ell,
-                        f"attachment {a} of a remaining outside vertex {d} "
-                        "missed the anchor bag",
-                    )
+            for a in members(bits[d] & m & ~bags[t_c]):
+                _postcondition_failure(
+                    g, ell,
+                    f"attachment {a} of a remaining outside vertex {d} "
+                    "missed the anchor bag",
+                )
         anchor_of.update(dict.fromkeys(comp, t_c))
 
     edges: list[tuple[int, int]] = list(td.edges)
@@ -652,7 +651,7 @@ def _decompose_levels(
     past the bound runs ``low_alpha_vertex``'s extraction on that level, so
     its witness (or the exception raised) is the per-level search's own.
     """
-    alive = (1 << g.n) - 1
+    bits, alive = g.adjacency_bits(), (1 << g.n) - 1
     roots: list[int] = []
     for r, a in levels:
         if a >= 2 * ell:
@@ -677,13 +676,14 @@ def _decompose_levels(
             if exc.witness.kind == BICLIQUE:
                 return exc.witness
             raise
-        nr = _root_neighbors(g, r, td)
-        t = find_bag_containing_set(td, nr)
+        alive |= 1 << r  # now the level of r
+        nr = bits[r] & alive
+        t = find_bag_containing_set(td, members(nr))
         if t is None:
             raise DecompositionError(
                 "no bag holds all neighbors of the root after saturation"
             )
-        td = td.with_leaf(t, vertex_set(nr + (r,)))
+        td = td.with_leaf(t, members(nr | 1 << r))
     problems = validate(g, td)
     if problems:
         raise DecompositionError(f"final decomposition invalid: {problems[:3]}")

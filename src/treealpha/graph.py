@@ -22,36 +22,29 @@ class GraphParseError(ValueError):
 class Graph:
     """A finite simple undirected graph on vertices ``0 .. n-1``.
 
-    Adjacency is stored both as sorted tuples (for deterministic iteration)
-    and as integer bitmasks (for fast exact search).  Instances are immutable
-    and safe for concurrent reads.
+    Adjacency is stored once, as one integer bitmask row per vertex: bit u
+    of row v is set when u and v are adjacent.  Every other view (neighbor
+    tuples, degrees, the edge list) is read off the rows in ascending order.
+    Instances are immutable and safe for concurrent reads.
     """
 
-    __slots__ = ("n", "_adj", "_bits", "_m")
+    __slots__ = ("n", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v in adj[u]:
+            if bits[u] >> v & 1:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
-            m += 1
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
         self.n = n
-        self._m = m
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
-        )
-        self._bits: tuple[int, ...] = tuple(
-            sum(1 << v for v in s) for s in self._adj
-        )
+        self._bits: tuple[int, ...] = tuple(bits)
 
     # -- basic queries ----------------------------------------------------
 
@@ -61,15 +54,16 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        return sum(row.bit_count() for row in self._bits) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+        return [
+            (u, v) for u, row in enumerate(self._bits) for v in members(row & -(2 << u))
+        ]
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._adj[v])
+        return self.neighbor_bits(v).bit_count()
 
     def adjacent(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -77,10 +71,10 @@ class Graph:
         return bool(self._bits[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self._adj[v]
+        return members(self.neighbor_bits(v))
 
     def neighbor_bits(self, v: int) -> int:
+        self._check_vertex(v)
         return self._bits[v]
 
     def adjacency_bits(self) -> tuple[int, ...]:
@@ -96,14 +90,14 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._adj == other._adj
+            and self._bits == other._bits
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._bits))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={self.edge_count})"
 
 
 VertexSet = tuple[int, ...]
@@ -191,7 +185,7 @@ def open_neighborhood(g: Graph, v: int) -> VertexSet:
 
 def closed_neighborhood(g: Graph, v: int) -> VertexSet:
     """The neighbors of ``v`` together with ``v``."""
-    return vertex_set(g.neighbors(v) + (v,))
+    return members(g.neighbor_bits(v) | 1 << v)
 
 
 def closed_neighborhood_of_set(g: Graph, s: Iterable[int]) -> VertexSet:
@@ -236,14 +230,10 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, VertexSet]:
     of ``s``.
     """
     mapping = vertex_set(s)
-    for v in mapping:
-        g._check_vertex(v)
+    keep, bits = mask_of(g, mapping), g.adjacency_bits()
     index = {v: i for i, v in enumerate(mapping)}
     edges = [
-        (index[u], index[v])
-        for u in mapping
-        for v in g.neighbors(u)
-        if u < v and v in index
+        (index[u], index[v]) for u in mapping for v in members(bits[u] & keep & -(2 << u))
     ]
     return Graph(len(mapping), edges), mapping
 

@@ -33,7 +33,9 @@ class TreeDecomposition:
     """A tree plus one bag per node.
 
     ``edges`` are tree edges between node ids ``0 .. len(bags)-1``, and
-    ``bag_masks[t]`` is ``bags[t]`` as a vertex bitmask.  The
+    ``bag_masks[t]`` is ``bags[t]`` as a vertex bitmask.  The node
+    adjacency is one bitmask of node ids per node, read by :attr:`rooted`
+    and :func:`compress`; :meth:`node_neighbors` lists it.  The
     subtree index is derived once by :func:`node_masks` (and extended, not
     rebuilt, by :meth:`with_leaf`): :meth:`node_mask` is T(v), the nodes
     whose bag holds ``v``, as a bitmask of node ids.  The
@@ -45,7 +47,7 @@ class TreeDecomposition:
 
     edges: tuple[tuple[int, int], ...]
     bags: tuple[VertexSet, ...]
-    _node_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _node_adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _masks: dict[int, int] = field(init=False, repr=False, compare=False)
     # Declared fields, not functools.cached_property: on CPython 3.11 a
     # write through the instance __dict__ slows every later attribute read.
@@ -58,15 +60,13 @@ class TreeDecomposition:
 
     def __post_init__(self):
         k = len(self.bags)
-        adj: list[list[int]] = [[] for _ in range(k)]
+        adj = [0] * k
         for a, b in self.edges:
             if not (0 <= a < k and 0 <= b < k) or a == b:
                 raise ValueError(f"bad tree edge ({a},{b})")
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(
-            self, "_node_adj", tuple(tuple(sorted(x)) for x in adj)
-        )
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        object.__setattr__(self, "_node_adj", tuple(adj))
         object.__setattr__(self, "_masks", node_masks(self.bags))
 
     @classmethod
@@ -99,8 +99,8 @@ class TreeDecomposition:
         if not 0 <= t < k:
             raise ValueError(f"bad tree edge ({t},{k})")
         adj = list(self._node_adj)
-        adj[t] += (k,)  # k exceeds every node id, so adj[t] stays sorted
-        adj.append((t,))
+        adj[t] |= 1 << k
+        adj.append(1 << t)
         masks = dict(self._masks)
         bit, mask = 1 << k, 0
         for v in bag:
@@ -120,23 +120,23 @@ class TreeDecomposition:
         return len(self.bags)
 
     def node_neighbors(self, t: int) -> tuple[int, ...]:
-        return self._node_adj[t]
+        return members(self._node_adj[t])
 
     @property
     def rooted(self) -> RootedIndex:
         """The rooted index, built on the first call."""
         if self._rooted is not None:
             return self._rooted
-        k = len(self.bags)
-        parent, depth = [-1] * k, [-1] * k
-        order = [k - 1] if k else []
+        k, adj = len(self.bags), self._node_adj
+        parent, depth, order, seen = [-1] * k, [-1] * k, [], 0
         if k:
-            depth[k - 1] = 0
+            depth[k - 1], order, seen = 0, [k - 1], 1 << k - 1
         for t in order:
-            for s in self._node_adj[t]:
-                if depth[s] < 0:
-                    parent[s], depth[s] = t, depth[t] + 1
-                    order.append(s)
+            new = adj[t] & ~seen
+            seen |= new
+            for s in members(new):
+                parent[s], depth[s] = t, depth[t] + 1
+                order.append(s)
         index = RootedIndex(tuple(parent), tuple(depth), tuple(order))
         object.__setattr__(self, "_rooted", index)
         return index
@@ -367,13 +367,14 @@ def compress(td: TreeDecomposition) -> TreeDecomposition:
     changes no bag, so the scan contracts what rescanning from node 0 after
     every contraction would, in the same order.
 
-    Node adjacency is held as node masks.  A neighbor found not contained in
-    bag(t) stays so, so t's scan goes upward from the lowest bit of the
-    neighbors it has not tried yet, and those of an absorbed node join them.
+    It edits a copy of the node adjacency masks of ``td``.  A neighbor found
+    not contained in bag(t) stays so, so t's scan goes upward from the
+    lowest bit of the neighbors it has not tried yet, and those of an
+    absorbed node join them.
     """
     bags = td.bag_masks
     k = td.node_count
-    adj = [sum(1 << s for s in td.node_neighbors(t)) for t in range(k)]
+    adj = list(td._node_adj)
     alive = (1 << k) - 1
     for t in range(k):  # an absorbed node has no neighbors left
         bag, untried = bags[t], adj[t]
