@@ -46,6 +46,27 @@ class Graph:
         self.n = n
         self._bits: tuple[int, ...] = tuple(bits)
 
+    @classmethod
+    def from_rows(cls, rows: Iterable[int]) -> "Graph":
+        """The graph whose adjacency bitmask rows are ``rows``, one per vertex.
+
+        Every row must be nonnegative, below ``1 << n`` and clear of its own
+        vertex's bit, which takes O(n) to check.  Symmetry (bit v of row u exactly when
+        bit u of row v) is not checked; the rows must come from a producer
+        that keeps it.
+        """
+        bits = tuple(rows)
+        n = len(bits)
+        for v, row in enumerate(bits):
+            if row < 0 or row >> n:
+                raise ValueError(f"row {v} is not a vertex mask for n={n}")
+            if row >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+        g = cls.__new__(cls)
+        g.n = n
+        g._bits = bits
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     @property

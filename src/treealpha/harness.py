@@ -16,6 +16,10 @@ graph before contains both u and v.  The walk starts pattern-free and keeps
 a flip only if no copy passes through its pair, so it stays pattern-free,
 and that local search accepts exactly the flips that a whole-graph search
 would.  Every returned graph is still re-certified by the whole-graph search.
+
+Generators build their graphs as adjacency bitmask rows from start to
+finish (random cographs, clique unions, the flip walk's rows) and hand
+them to ``Graph.from_rows``; no edge list is built and parsed back.
 """
 
 from __future__ import annotations
@@ -213,22 +217,44 @@ def pattern_absent(g: Graph, pattern: tuple) -> bool:
 # -- generators ----------------------------------------------------------------
 
 
-def _random_cograph_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Random union/join composition tree over n labeled vertices."""
+def _random_cograph_rows(n: int, rng: random.Random) -> list[int]:
+    """Adjacency rows of a random union/join composition tree over n vertices.
+
+    The first ``a`` vertices form one side and the rest the other; a join
+    ORs each side's mask into every row of the other.
+    """
     if n == 1:
-        return []
+        return [0]
     a = rng.randint(1, n - 1)
-    left = _random_cograph_edges(a, rng)
-    right = [(u + a, v + a) for u, v in _random_cograph_edges(n - a, rng)]
-    edges = left + right
+    left = _random_cograph_rows(a, rng)
+    right = [row << a for row in _random_cograph_rows(n - a, rng)]
     if rng.random() < 0.5:
-        edges += [(u, v) for u in range(a) for v in range(a, n)]
-    return edges
+        low = (1 << a) - 1
+        high = (1 << n) - 1 ^ low
+        left = [row | high for row in left]
+        right = [row | low for row in right]
+    return left + right
+
+
+def _random_cograph_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges of ``_random_cograph_rows(n, rng)``, each (u, v) with u < v."""
+    return _graph_of(_random_cograph_rows(n, rng)).edges()
+
+
+def _clique_union_rows(n: int, rng: random.Random) -> list[int]:
+    """Adjacency rows of disjoint cliques of 1 to 4 vertices, in vertex order."""
+    rows: list[int] = []
+    start = 0
+    while start < n:
+        size = min(n - start, rng.randint(1, 4))
+        block = (1 << size) - 1 << start
+        rows += [block ^ 1 << v for v in range(start, start + size)]
+        start += size
+    return rows
 
 
 def _graph_of(bits: Sequence[int]) -> Graph:
-    edges = [(u, v) for u, row in enumerate(bits) for v in members(row >> u + 1 << u + 1)]
-    return Graph(len(bits), edges)
+    return Graph.from_rows(bits)
 
 
 def _found_through(bits: Sequence[int], pattern: tuple, u: int, v: int) -> bool:
@@ -260,9 +286,11 @@ def _flip_walk(g: Graph, rng: random.Random, flips: int, patterns: Sequence[tupl
             continue
         bits[u] ^= 1 << v
         bits[v] ^= 1 << u
-        if any(_found_through(bits, p, u, v) for p in patterns):
-            bits[u] ^= 1 << v
-            bits[v] ^= 1 << u
+        for p in patterns:
+            if _found_through(bits, p, u, v):
+                bits[u] ^= 1 << v
+                bits[v] ^= 1 << u
+                break
     return _graph_of(bits)
 
 
@@ -281,7 +309,7 @@ def gen_p5_free(n: int, seed: int, method: str = "union-join") -> Graph:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(f"p5free:{method}:{n}:{seed}")
-    g = Graph(n, _random_cograph_edges(n, rng))
+    g = _graph_of(_random_cograph_rows(n, rng))
     if method == "perturb-filter":
         g = _flip_walk(g, rng, 3 * n, [("path", 5)])
     w = find_induced_path(g, 5)
@@ -318,16 +346,9 @@ def gen_class_free(
         if style == 0:
             cand = Graph(n, [])
         elif style == 1:
-            edges = []
-            start = 0
-            while start < n:
-                size = min(n - start, rng.randint(1, 4))
-                block = range(start, start + size)
-                edges += [(u, v) for u in block for v in block if u < v]
-                start += size
-            cand = Graph(n, edges)
+            cand = _graph_of(_clique_union_rows(n, rng))
         else:
-            cand = Graph(n, _random_cograph_edges(n, rng))
+            cand = _graph_of(_random_cograph_rows(n, rng))
         if all(pattern_absent(cand, p) for p in forbidden):
             base = cand
             break

@@ -599,12 +599,20 @@ def _extend_biclique(
     """
     full = (1 << len(bits)) - 1
     grow_a, common_a, rim_b = full & ~side_a, full, side_b
-    for w in members(side_a):
-        grow_a &= ~bits[w]
-        common_a &= bits[w]
-    for w in members(side_b):
-        grow_a &= bits[w]
-        rim_b |= bits[w]
+    rest = side_a
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = bits[low.bit_length() - 1]
+        grow_a &= ~row
+        common_a &= row
+    rest = side_b
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = bits[low.bit_length() - 1]
+        grow_a &= row
+        rim_b |= row
     return _grow_a_side(
         bits, b - side_b.bit_count(), side_b,
         a - side_a.bit_count(), grow_a, side_a, common_a & ~rim_b,
