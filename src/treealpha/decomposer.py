@@ -36,39 +36,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graph import (
-    Graph, VertexSet, component, components, is_complete_between, mask_of,
-    members, neighborhood, pieces,
+    Graph, VertexSet, complete_between, component, mask_of, members,
+    neighborhood, pieces,
 )
 from .oracles import (
-    BICLIQUE,
-    ForbiddenStructureFound,
-    Witness,
-    _induced_path_within,
-    _mis_mask,
-    alpha,
-    alpha_exceeds,
+    BICLIQUE, ForbiddenStructureFound, Witness, _induced_path_within, _mis_mask,
+    alpha, alpha_exceeds, biclique_witness, find_induced_biclique,
+    find_induced_path, max_independent_subset, verify_witness,
     alpha_of_subset,  # unused here; bench/selftest.py reads it through this module
-    biclique_witness,
-    find_induced_biclique,
-    find_induced_path,
-    max_independent_subset,
-    verify_witness,
 )
 from .degeneracy import low_alpha_vertex
 from .treedecomp import (
-    TreeDecomposition,
-    cobagged_pairs,
-    compress,
-    find_bag_containing_set,
-    single_bag_decomposition,
-    subtree_distance,
-    td_alpha,
-    td_alpha_exceeds,
-    validate,
+    TreeDecomposition, cobagged_pairs, compress, find_bag_containing_set,
+    single_bag_decomposition, subtree_distance, td_alpha, td_alpha_exceeds, validate,
 )
 
 
@@ -80,37 +64,35 @@ class DecompositionError(RuntimeError):
 
 
 def _root_neighbors(g: Graph, r: int, td: TreeDecomposition) -> VertexSet:
-    """The neighbors of root r in its level: those that ``td`` holds.
-
-    ``td`` decomposes the level minus r, so this costs O(deg r).
-    """
-    return tuple(u for u in g.neighbors(r) if td.node_mask(u))
+    """The neighbors of root r in its level, which ``td`` decomposes minus r."""
+    return members(g.neighbor_bits(r) & td.vertex_mask)
 
 
 def _level(g: Graph, r: int, td: TreeDecomposition) -> tuple[set[int], VertexSet]:
-    """The level of root r, and the neighbors of r in it.
-
-    ``td`` decomposes the level minus r, so the level is read off its bags.
-    Building it sorts the whole level: only the pair context and a pair
-    search that found pairs read it.
-    """
-    return set(td.vertices()) | {r}, _root_neighbors(g, r, td)
+    """The level of root r as a set, and the neighbors of r in it: views of
+    the level mask ``td.vertex_mask | 1 << r``, which the engine reads."""
+    return set(members(td.vertex_mask | 1 << r)), _root_neighbors(g, r, td)
 
 
-def _nrbar(
-    g: Graph, r: int, level: set[int], nr: VertexSet
-) -> dict[int, set[int]]:
-    """For each neighbor u of r, the neighbors of u in the level outside N[r]."""
-    bits = g.adjacency_bits()
-    far = mask_of(g, level) & ~bits[r] & ~(1 << r)
-    return {u: set(members(bits[u] & far)) for u in nr}
+def _nrbar_rows(
+    bits: Sequence[int], r: int, level: int, nr: Iterable[int]
+) -> dict[int, int]:
+    """For each neighbor u of r, the mask of u's neighbors in the level outside N[r]."""
+    far = level & ~bits[r] & ~(1 << r)
+    return {u: bits[u] & far for u in nr}
+
+
+def _nrbar(g: Graph, r: int, level: set[int], nr: VertexSet) -> dict[int, set[int]]:
+    """``_nrbar_rows`` as sets, for a level given as a set."""
+    rows = _nrbar_rows(g.adjacency_bits(), r, mask_of(g, level), nr)
+    return {u: set(members(row)) for u, row in rows.items()}
 
 
 def _rim(g: Graph, comp: VertexSet, level: set[int]) -> set[int]:
-    """Neighbors of the vertex set ``comp`` in the level, outside comp."""
+    """Neighbors of ``comp`` in the level, outside comp; the engine's rim, as sets."""
     inside = mask_of(g, comp)
-    rim = neighborhood(g.adjacency_bits(), inside) & ~inside
-    return level.intersection(members(rim))
+    rim = neighborhood(g.adjacency_bits(), inside) & mask_of(g, level) & ~inside
+    return set(members(rim))
 
 
 def _raise_with_witness(g: Graph, w: Witness, msg: str) -> None:
@@ -126,14 +108,14 @@ def _check_p5_free(g: Graph) -> None:
         _raise_with_witness(g, w, "input contains an induced P5")
 
 
-def _refute_p5(g: Graph, level: set[int], msg: str) -> None:
+def _refute_p5(g: Graph, level: int, msg: str) -> None:
     """Refute a failed P5 claim with the first induced P5 of G[level].
 
     Every claim the surgeries make about a pair context holds unless the
-    level, which holds all the vertices the claim speaks of, contains an
-    induced P5; finding none there is an internal bug.
+    level (a vertex mask), which holds all the vertices the claim speaks of,
+    contains an induced P5; finding none there is an internal bug.
     """
-    w = _induced_path_within(g.adjacency_bits(), 5, mask_of(g, level))
+    w = _induced_path_within(g.adjacency_bits(), 5, level)
     if w is None:
         raise DecompositionError(f"{msg}; the level has no induced P5 (internal bug)")
     _raise_with_witness(g, w, msg)
@@ -172,6 +154,14 @@ def _postcondition_failure(g: Graph, ell: int, msg: str) -> None:
 # -- pair context -------------------------------------------------------------
 
 
+def _set_view(name: str) -> property:
+    """A set view of the mask field ``name``; assigning a set stores its mask."""
+    return property(
+        lambda ctx: set(members(getattr(ctx, name))),
+        lambda ctx, vertices: setattr(ctx, name, mask_of(ctx.g, vertices)),
+    )
+
+
 @dataclass
 class PairContext:
     """Everything the surgeries need about a root r and pair (x, y).
@@ -181,7 +171,9 @@ class PairContext:
     minus r.  ``nrbar`` maps each neighbor u of r in the level to the
     neighbors of u in the level outside N[r].  Construction asserts the
     structural facts the surgeries rely on, converting any failure into a
-    witness.
+    witness.  It is held as vertex masks, the ``*_bits`` fields, which the
+    checks and the surgeries read; the sets, ``nrbar`` and ``comps`` are
+    views of them, built on each read.
     """
 
     g: Graph
@@ -191,22 +183,36 @@ class PairContext:
     y: int
     ell: int
     bad: bool = field(init=False)
-    level: set[int] = field(init=False)
-    nrbar: dict[int, set[int]] = field(init=False)
-    m: set[int] = field(init=False)
-    u_all: set[int] = field(init=False)
-    u0: set[int] = field(init=False)
-    ux: set[int] = field(init=False)
-    uy: set[int] = field(init=False)
-    uxy: set[int] = field(init=False)
-    w_x: set[int] = field(init=False)
-    w_y: set[int] = field(init=False)
-    w_xy: set[int] = field(init=False)
-    movable: set[int] = field(init=False)
-    comps: tuple[VertexSet, ...] = field(init=False)
+    level_bits: int = field(init=False)
+    nrbar_bits: dict[int, int] = field(init=False)
+    m_bits: int = field(init=False)
+    u_all_bits: int = field(init=False)
+    u0_bits: int = field(init=False)
+    ux_bits: int = field(init=False)
+    uy_bits: int = field(init=False)
+    uxy_bits: int = field(init=False)
+    w_x_bits: int = field(init=False)
+    w_y_bits: int = field(init=False)
+    w_xy_bits: int = field(init=False)
+    movable_bits: int = field(init=False)
+    comp_bits: tuple[int, ...] = field(init=False)
     t_x: int = field(init=False)
     t_y: int = field(init=False)
     path_xy: tuple[int, ...] = field(init=False)
+
+    level = _set_view("level_bits")
+    m = _set_view("m_bits")
+    u_all = _set_view("u_all_bits")
+    u0 = _set_view("u0_bits")
+    ux = _set_view("ux_bits")
+    uy = _set_view("uy_bits")
+    uxy = _set_view("uxy_bits")
+    w_x = _set_view("w_x_bits")
+    w_y = _set_view("w_y_bits")
+    w_xy = _set_view("w_xy_bits")
+    movable = _set_view("movable_bits")
+    nrbar = property(lambda ctx: {u: set(members(b)) for u, b in ctx.nrbar_bits.items()})
+    comps = property(lambda ctx: tuple(map(members, ctx.comp_bits)))
 
 
 def build_pair_context(
@@ -217,39 +223,37 @@ def build_pair_context(
     Preconditions: x, y are distinct neighbors of r not sharing a bag of
     ``td``.  Raises ForbiddenStructureFound with a verified witness when a
     structural assertion fails, which refutes the P5-free / biclique-free
-    promise on the input.
+    promise on the input.  U's four classes are its ANDs with the rows of x
+    and y.
     """
     ctx = PairContext(g=g, root=r, td=td, x=x, y=y, ell=ell)
-    ctx.level, nr = _level(g, r, td)
+    ctx.level_bits = level = td.vertex_mask | 1 << r
+    nr_bits = g.neighbor_bits(r) & level
+    nr = members(nr_bits)
     if x not in nr or y not in nr or x == y:
         raise ValueError("x and y must be distinct neighbors of the root")
     if td.node_mask(x) & td.node_mask(y):
         raise ValueError("pair is already co-bagged")
-    if g.adjacent(x, y):
+    bits = g.adjacency_bits()
+    bx, by = bits[x], bits[y]
+    if bx >> y & 1:
         raise DecompositionError("co-bag pair is adjacent but shares no bag")
 
-    ctx.nrbar = _nrbar(g, r, ctx.level, nr)
-    nrx, nry = ctx.nrbar[x], ctx.nrbar[y]
-    ctx.m = set(nr) | nrx | nry
-    ctx.u_all = {u for u in nr if ctx.nrbar[u] - (nrx | nry)}
-    ctx.u0 = {u for u in ctx.u_all if not g.adjacent(u, x) and not g.adjacent(u, y)}
-    ctx.ux = {u for u in ctx.u_all if g.adjacent(u, x) and not g.adjacent(u, y)}
-    ctx.uy = {u for u in ctx.u_all if g.adjacent(u, y) and not g.adjacent(u, x)}
-    ctx.uxy = {u for u in ctx.u_all if g.adjacent(u, x) and g.adjacent(u, y)}
-    ctx.w_x = nrx - nry
-    ctx.w_y = nry - nrx
-    ctx.w_xy = nrx & nry
-    ctx.bad = alpha_exceeds(g, mask_of(g, ctx.w_x), ell - 1)
-    ctx.comps = tuple(components(g, ctx.level - ctx.m - {r}))
-    path = td.path_between_subtrees(x, y)
+    rows = ctx.nrbar_bits = _nrbar_rows(bits, r, level, nr)
+    nrx, nry = rows[x], rows[y]
+    ctx.m_bits = m = nr_bits | nrx | nry
+    ctx.u_all_bits = u = sum(1 << v for v in nr if rows[v] & ~(nrx | nry))
+    ctx.u0_bits, ctx.uxy_bits = u & ~(bx | by), u & bx & by
+    ctx.ux_bits, ctx.uy_bits = u & bx & ~by, u & by & ~bx
+    ctx.w_x_bits, ctx.w_y_bits, ctx.w_xy_bits = nrx & ~nry, nry & ~nrx, nrx & nry
+    ctx.bad = alpha_exceeds(g, ctx.w_x_bits, ell - 1)
+    ctx.comp_bits = tuple(pieces(component, bits, level & ~m & ~(1 << r)))
+    ctx.path_xy = path = td.path_between_subtrees(x, y)
     ctx.t_x, ctx.t_y = path[0], path[-1]
-    ctx.path_xy = path
-    ctx.movable = {
-        u
-        for u in ctx.u_all
-        if (nrx - ctx.nrbar[u]) <= nry
-        and not alpha_exceeds(g, mask_of(g, nrx - ctx.nrbar[u]), ell - 1)
-    }
+    ctx.movable_bits = sum(
+        1 << v for v in members(u)
+        if not (rest := nrx & ~rows[v]) & ~nry and not alpha_exceeds(g, rest, ell - 1)
+    )
 
     _assert_component_structure(ctx)
     if ctx.bad:
@@ -260,53 +264,58 @@ def build_pair_context(
 def _assert_component_structure(ctx: PairContext) -> None:
     """Component neighborhoods: inside U or the common outside set, and
     components complete to their one-sided attachments."""
-    g, level = ctx.g, ctx.level
-    for comp in ctx.comps:
-        nc = _rim(g, comp, level)
-        if stray := nc - ctx.u_all - ctx.w_xy:
+    g, level, bits = ctx.g, ctx.level_bits, ctx.g.adjacency_bits()
+    one_sided = ctx.u0_bits | ctx.ux_bits | ctx.uy_bits
+    for comp in ctx.comp_bits:
+        nc = neighborhood(bits, comp) & level & ~comp
+        if stray := nc & ~ctx.u_all_bits & ~ctx.w_xy_bits:
             # comp is a component of the level minus M and r, and M holds
             # N(r), so the rim lies in M.  A rim vertex in N(r) sees comp,
             # which lies outside N[r] and M, so it is in U.  So a stray
             # vertex is in M - N(r) - W_xy: in W_x or in W_y.
-            if min(stray) in ctx.w_x:
+            if stray & -stray & ctx.w_x_bits:
                 _refute_p5(g, level, "component touches a private neighbor of x")
             _refute_p5(g, level, "component touches a private neighbor of y")
-        if not is_complete_between(g, nc & (ctx.u0 | ctx.ux | ctx.uy), comp):
+        if not complete_between(bits, nc & one_sided, comp):
             _refute_p5(g, level, "component not complete to a one-sided attachment")
 
 
 def _assert_bad_pair_structure(ctx: PairContext) -> None:
     """The completeness web around a bad pair, plus the movability claims."""
-    g, level, ell = ctx.g, ctx.level, ctx.ell
-    if not is_complete_between(g, ctx.w_x, ctx.w_y):
+    g, level, ell, bits = ctx.g, ctx.level_bits, ctx.ell, ctx.g.adjacency_bits()
+    w_x, w_y, w_xy = ctx.w_x_bits, ctx.w_y_bits, ctx.w_xy_bits
+    u0, ux, uy, movable = ctx.u0_bits, ctx.ux_bits, ctx.uy_bits, ctx.movable_bits
+    if not complete_between(bits, w_x, w_y):
         _refute_p5(
             g, level, "private sides of a bad pair are not complete to each other"
         )
-    if alpha_exceeds(g, mask_of(g, ctx.w_y), ell - 1):
+    if alpha_exceeds(g, w_y, ell - 1):
         _refute_biclique(
-            g, ctx.w_x, ctx.w_y, ell, "both private sides have large independent sets"
+            g, members(w_x), members(w_y), ell,
+            "both private sides have large independent sets",
         )
-    if not is_complete_between(g, ctx.ux, ctx.uy):
+    if not complete_between(bits, ux, uy):
         _refute_p5(g, level, "one-sided attachments of x and y are not complete")
-    if not is_complete_between(g, ctx.u0 | ctx.uy, ctx.w_x):
+    if not complete_between(bits, u0 | uy, w_x):
         _refute_p5(g, level, "outward neighbor of r misses a private neighbor of x")
-    if not is_complete_between(g, ctx.u0 | ctx.ux, ctx.w_y):
+    if not complete_between(bits, u0 | ux, w_y):
         _refute_p5(g, level, "outward neighbor of r misses a private neighbor of y")
-    for comp in ctx.comps:
-        if not is_complete_between(g, _rim(g, comp, level) & ctx.w_xy, comp):
+    for comp in ctx.comp_bits:
+        if not complete_between(bits, neighborhood(bits, comp) & w_xy, comp):
             _refute_p5(
                 g, level, "component not complete to its common-side attachment"
             )
     # movability claims
-    for u0 in sorted(ctx.u0 - ctx.movable):
-        s = ctx.w_xy - ctx.nrbar[u0]
-        if not is_complete_between(g, ctx.w_x, s):
+    for u in members(u0 & ~movable):
+        s = w_xy & ~ctx.nrbar_bits[u]
+        if not complete_between(bits, w_x, s):
             _refute_p5(g, level, "isolated-attachment vertex is not movable")
         _refute_biclique(
-            g, ctx.w_x, s, ell, "isolated-attachment vertex is not movable"
+            g, members(w_x), members(s), ell,
+            "isolated-attachment vertex is not movable",
         )
-    for u_y in sorted(ctx.uy):
-        if u_y not in ctx.movable and not ctx.td.node_mask(u_y) >> ctx.t_y & 1:
+    for u_y in members(uy & ~movable):
+        if not ctx.td.node_mask(u_y) >> ctx.t_y & 1:
             raise DecompositionError(
                 f"y-side attachment {u_y} neither movable nor anchored; "
                 "the pair was not selected at maximum subtree distance"
@@ -324,6 +333,11 @@ def enumerate_uncobagged_pairs(
     Only neighbors in the level count: those ``td`` holds.
     """
     held = [(v, td.node_mask(v)) for v in _root_neighbors(g, r, td)]
+    # Helly exit.  A node common to every T(v) co-bags every pair, so the scan
+    # below would list no pair and reach no adjacency check.  The AND is exact
+    # on any tree, valid or not, so the exit loses no error.
+    if reduce(and_, (mv for _, mv in held), -1):
+        return []
     out: list[tuple[int, int]] = []
     for x, mx in held:
         for y, my in held:
@@ -344,18 +358,17 @@ def select_pair(
 
     Bad means the private outside-neighborhood of x away from y holds an
     independent set of size ``ell``.  Ties break lexicographically.  The
-    level is the OR of the bag masks plus r, and each outside-neighborhood
-    is one AND with it.  A distance depends only on T(x) and T(y), so it is
-    computed once per pair of subtrees; the pairs come in lexicographic
-    order, so the first one at the largest distance is the choice.
+    level is the decomposition's vertex mask plus r, and each
+    outside-neighborhood is one AND with it.  A distance depends only on
+    T(x) and T(y), so it is computed once per pair of subtrees; the pairs come
+    in lexicographic order, so the first one at the largest distance is the
+    choice.
     """
     pairs = enumerate_uncobagged_pairs(g, r, td)
     if not pairs:
         return None
-    bits = g.adjacency_bits()
-    level = reduce(or_, td.bag_masks, 1 << r)
-    far = level & ~bits[r] & ~(1 << r)
-    nrbar = {u: bits[u] & far for u in members(bits[r] & level)}
+    bits, level = g.adjacency_bits(), td.vertex_mask | 1 << r
+    nrbar = _nrbar_rows(bits, r, level, members(bits[r] & level))
     bads = [
         (x, y) for x, y in pairs
         if alpha_exceeds(g, nrbar[x] & ~nrbar[y], ell - 1)
@@ -384,12 +397,11 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     the tree carrying its local bags.  Apart from validity, the result keeps
     every co-bagged neighbor pair of r and adds (x, y).
     """
-    g, td = ctx.g, ctx.td
+    td, bits = ctx.td, ctx.g.adjacency_bits()
     if ctx.bad:
         raise ValueError("plain transform requires a non-bad pair")
-    m = mask_of(g, ctx.m)
-    bags = [b & m for b in td.bag_masks]
-    for u in ctx.u_all:
+    bags = [b & ctx.m_bits for b in td.bag_masks]
+    for u in members(ctx.u_all_bits):
         span = td.subtree(u)
         for a in (ctx.t_x, ctx.t_y):
             if a not in span:
@@ -400,10 +412,10 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
         bags[t] |= 1 << ctx.x
 
     edges: list[tuple[int, int]] = list(td.edges)
-    add_free = ctx.u_all - ctx.uxy
-    for comp in ctx.comps:
-        rim = _rim(g, comp, ctx.level)
-        _append_copy(g, td, bags, edges, rim.union(comp), rim & add_free, ctx.t_y, ctx.t_y)
+    add_free = ctx.u_all_bits & ~ctx.uxy_bits
+    for comp in ctx.comp_bits:
+        rim = neighborhood(bits, comp) & ctx.level_bits & ~comp
+        _append_copy(td, bags, edges, rim | comp, rim & add_free, ctx.t_y, ctx.t_y)
     out = TreeDecomposition.from_masks(tuple(edges), bags)
     return _check_surgery_output(ctx, out, "plain-pair surgery")
 
@@ -418,77 +430,75 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     all their attachment subtrees; what remains of each component hangs off
     the master at a single anchor node computed per component.
     """
-    g, td, ell = ctx.g, ctx.td, ctx.ell
+    g, td, ell, r = ctx.g, ctx.td, ctx.ell, ctx.root
     if not ctx.bad:
         raise ValueError("bad-pair transform requires a bad pair")
-    k = td.node_count
-    r = ctx.root
 
     # intermediate master bags.  Each T(a), a in M, stays connected, as the
     # Helly errors below need: ``td`` is valid, the movable fill every bag, and
     # the anchor path meets T(x) at t_x and each y-side straggler's T at t_y.
-    bits, m, movable = g.adjacency_bits(), mask_of(g, ctx.m), mask_of(g, ctx.movable)
+    bits, m, movable = g.adjacency_bits(), ctx.m_bits, ctx.movable_bits
     bags = [b & m | movable for b in td.bag_masks]
-    ride_along = 1 << ctx.x | mask_of(g, ctx.uy - ctx.movable)
+    ride_along = 1 << ctx.x | ctx.uy_bits & ~movable
     for t in ctx.path_xy:
         bags[t] |= ride_along
 
     # pull split outside vertices into the master
     master = TreeDecomposition.from_masks(td.edges, bags)
     parent, below = _rooted_masks(td)
-    pulled: set[int] = set()
-    for c in sorted(ctx.level - ctx.m - {r}):
+    pulled = 0
+    outside = ctx.level_bits & ~m & ~(1 << r)
+    for c in members(outside):
         marks = [master.node_mask(a) for a in members(bits[c] & m)]
         if not marks or reduce(and_, marks):  # none, or one master bag holds all
             continue
         for t in _forced_nodes(td, parent, below, marks):
             bags[t] |= 1 << c
-        pulled.add(c)
+        pulled |= 1 << c
 
     # anchor node per original outside component, by vertex
     master = TreeDecomposition.from_masks(td.edges, bags)
     anchor_of: dict[int, int] = {}
-    for comp in ctx.comps:
-        key = sorted(_rim(g, comp, ctx.level) - ctx.uxy)
-        fit = reduce(and_, map(master.node_mask, key), (1 << k) - 1)
+    for comp in ctx.comp_bits:
+        rim = neighborhood(bits, comp) & ctx.level_bits & ~comp
+        key = members(rim & ~ctx.uxy_bits)
+        fit = reduce(and_, map(master.node_mask, key), (1 << td.node_count) - 1)
         if fit:
             t_c = min(members(fit), key=lambda t: (len(td.tree_path(ctx.t_x, t)), t))
         else:
             t_c = _split_anchor(master, key)
-        missing = [v for v in comp if v in pulled and not bags[t_c] >> v & 1]
-        if missing:
+        if missing := list(members(comp & pulled & ~bags[t_c])):
             _postcondition_failure(
                 g, ell, f"pulled vertices {missing} missed their anchor bag"
             )
-        for d in sorted(set(comp) - pulled):
+        for d in members(comp & ~pulled):
             for a in members(bits[d] & m & ~bags[t_c]):
                 _postcondition_failure(
                     g, ell,
                     f"attachment {a} of a remaining outside vertex {d} "
                     "missed the anchor bag",
                 )
-        anchor_of.update(dict.fromkeys(comp, t_c))
+        anchor_of.update(dict.fromkeys(members(comp), t_c))
 
     edges: list[tuple[int, int]] = list(td.edges)
-    rest = sorted(ctx.level - ctx.m - pulled - {r})
-    for dcomp in components(g, rest):
-        rim = _rim(g, dcomp, ctx.level)
-        anchor = anchor_of[dcomp[0]]
-        _append_copy(g, td, bags, edges, rim.union(dcomp), rim - ctx.uxy, anchor, ctx.t_x)
+    for dcomp in pieces(component, bits, outside & ~pulled):
+        rim = neighborhood(bits, dcomp) & ctx.level_bits & ~dcomp
+        anchor = anchor_of[(dcomp & -dcomp).bit_length() - 1]
+        _append_copy(td, bags, edges, rim | dcomp, rim & ~ctx.uxy_bits, anchor, ctx.t_x)
     out = TreeDecomposition.from_masks(tuple(edges), bags)
     return _check_surgery_output(ctx, out, "bad-pair surgery")
 
 
 def _append_copy(
-    g: Graph, td: TreeDecomposition, bags: list[int], edges: list[tuple[int, int]],
-    keep: set[int], spread: set[int], anchor: int, at: int,
+    td: TreeDecomposition, bags: list[int], edges: list[tuple[int, int]],
+    keep: int, spread: int, anchor: int, at: int,
 ) -> None:
     """Append an outside component's copy of ``td`` to ``bags`` and ``edges``.
 
-    Each bag mask is cut to ``keep`` (the component and its rim) plus
+    Each bag mask is cut to the mask ``keep`` (the component and its rim) plus
     ``spread``, and the copy's node ``at`` is joined to master node ``anchor``.
     """
-    offset, keep, spread = len(bags), mask_of(g, keep), mask_of(g, spread)
+    offset = len(bags)
     bags.extend(b & keep | spread for b in td.bag_masks)
     edges.extend((a + offset, b + offset) for a, b in td.edges)
     edges.append((anchor, offset + at))
@@ -549,7 +559,7 @@ def _check_surgery_output(
 ) -> TreeDecomposition:
     """``out``, once it is checked valid, within the bag bound and co-bagging x, y."""
     g, ell, r = ctx.g, ctx.ell, ctx.root
-    problems = validate(g, out, ctx.level - {r})
+    problems = validate(g, out, members(ctx.level_bits & ~(1 << r)))
     if problems:
         _postcondition_failure(g, ell, f"{label} broke validity: {problems[:3]}")
     if td_alpha_exceeds(g, out, 4 * ell):
@@ -563,11 +573,7 @@ def _check_surgery_output(
 
 
 def saturate_root(
-    g: Graph,
-    r: int,
-    td: TreeDecomposition,
-    ell: int,
-    log: Optional[list] = None,
+    g: Graph, r: int, td: TreeDecomposition, ell: int, log: Optional[list] = None
 ) -> TreeDecomposition:
     """Restructure until every pair of neighbors of r in its level shares a bag.
 
@@ -640,10 +646,7 @@ def _elimination_order(g: Graph) -> Iterator[tuple[int, int]]:
 
 
 def _decompose_levels(
-    g: Graph,
-    ell: int,
-    levels: Iterable[tuple[int, int]],
-    log: Optional[list],
+    g: Graph, ell: int, levels: Iterable[tuple[int, int]], log: Optional[list]
 ) -> Union[Witness, TreeDecomposition]:
     """``decompose`` at ``ell`` from the forward pass's ``levels``.
 
@@ -693,10 +696,7 @@ def _decompose_levels(
 
 
 def decompose(
-    g: Graph,
-    ell: int,
-    check_p5: bool = True,
-    log: Optional[list] = None,
+    g: Graph, ell: int, check_p5: bool = True, log: Optional[list] = None
 ) -> Union[Witness, TreeDecomposition]:
     """An induced K_{ell,ell}, or a tree decomposition with bag alpha <= 4*ell.
 

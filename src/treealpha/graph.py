@@ -236,7 +236,20 @@ def is_complete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     amask, bmask = mask_of(g, a), mask_of(g, b)
     if amask & bmask:
         raise ValueError(f"sides overlap: {list(members(amask & bmask))}")
-    return all(g.neighbor_bits(u) & bmask == bmask for u in members(amask))
+    return complete_between(g.adjacency_bits(), amask, bmask)
+
+
+def complete_between(bits: Sequence[int], a: int, b: int) -> bool:
+    """Whether every vertex of mask ``a`` is adjacent to every vertex of mask ``b``.
+
+    The mask form of :func:`is_complete_between`, without its overlap check.
+    """
+    while a:
+        low = a & -a
+        a ^= low
+        if b & ~bits[low.bit_length() - 1]:
+            return False
+    return True
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:

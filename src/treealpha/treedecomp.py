@@ -9,6 +9,8 @@ the restructuring operations in :mod:`treealpha.decomposer` build new ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, VertexSet, mask_of, members, neighborhood, vertex_set
@@ -32,10 +34,11 @@ class RootedIndex(NamedTuple):
 class TreeDecomposition:
     """A tree plus one bag per node.
 
-    ``edges`` are tree edges between node ids ``0 .. len(bags)-1``, and
-    ``bag_masks[t]`` is ``bags[t]`` as a vertex bitmask.  The node
-    adjacency is one bitmask of node ids per node, read by :attr:`rooted`
-    and :func:`compress`; :meth:`node_neighbors` lists it.  The
+    ``edges`` are tree edges between node ids ``0 .. len(bags)-1``,
+    ``bag_masks[t]`` is ``bags[t]`` as a vertex bitmask, and
+    :attr:`vertex_mask` is their OR.  The node adjacency is one bitmask of
+    node ids per node, read by :attr:`rooted` and :func:`compress`;
+    :meth:`node_neighbors` lists it.  The
     subtree index is derived once by :func:`node_masks` (and extended, not
     rebuilt, by :meth:`with_leaf`): :meth:`node_mask` is T(v), the nodes
     whose bag holds ``v``, as a bitmask of node ids.  The
@@ -55,6 +58,9 @@ class TreeDecomposition:
         default=None, init=False, repr=False, compare=False
     )
     _bag_masks: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _vertex_mask: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -86,14 +92,23 @@ class TreeDecomposition:
             object.__setattr__(self, "_bag_masks", masks)
         return self._bag_masks
 
+    @property
+    def vertex_mask(self) -> int:
+        """The vertices some bag holds, as one bitmask: the OR of the bag
+        masks, folded on first read.  :meth:`with_leaf` extends it and
+        :func:`compress` passes it on, so neither folds it again."""
+        if self._vertex_mask is None:
+            object.__setattr__(self, "_vertex_mask", reduce(or_, self.bag_masks, 0))
+        return self._vertex_mask
+
     def with_leaf(self, t: int, bag: VertexSet) -> "TreeDecomposition":
         """This decomposition plus a new last node holding ``bag``, a leaf at ``t``.
 
         Equal to ``TreeDecomposition(edges + ((t, k),), bags + (bag,))`` with
-        ``k = node_count``, but it extends the node adjacency and bag masks and
-        copies the subtree index, setting only the new node's bit, instead of
-        rebuilding them.  The rooted index is not copied: the root is the last
-        node, so it moves to the new leaf.
+        ``k = node_count``, but it extends the node adjacency, the bag masks
+        and the vertex mask and copies the subtree index, setting only the new
+        node's bit, instead of rebuilding them.  The rooted index is not
+        copied: the root is the last node, so it moves to the new leaf.
         """
         k = len(self.bags)
         if not 0 <= t < k:
@@ -110,6 +125,7 @@ class TreeDecomposition:
         object.__setattr__(out, "edges", self.edges + ((t, k),))
         object.__setattr__(out, "bags", self.bags + (bag,))
         object.__setattr__(out, "_bag_masks", self.bag_masks + (mask,))
+        object.__setattr__(out, "_vertex_mask", self.vertex_mask | mask)
         object.__setattr__(out, "_node_adj", tuple(adj))
         object.__setattr__(out, "_masks", masks)
         object.__setattr__(out, "_rooted", None)
@@ -396,7 +412,10 @@ def compress(td: TreeDecomposition) -> TreeDecomposition:
     edges = tuple(
         (index[a], index[b]) for a in keep for b in members(adj[a] >> a + 1 << a + 1)
     )
-    return TreeDecomposition.from_masks(edges, [bags[t] for t in keep])
+    out = TreeDecomposition.from_masks(edges, [bags[t] for t in keep])
+    # an absorbed bag lies inside its absorber, so the vertices stay the same
+    object.__setattr__(out, "_vertex_mask", td._vertex_mask)
+    return out
 
 
 # -- serialization ------------------------------------------------------------
