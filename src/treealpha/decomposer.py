@@ -23,12 +23,12 @@ every read of the graph in the restructuring stays inside it.
 Each restructuring step, a plain-pair or a bad-pair surgery, builds its
 master bags, hangs one copy of the tree per outside component off them
 (``_append_copy``) and checks the result in one place.  It strictly grows the
-set of co-bagged neighbor pairs, so the loop ends within (deg r choose 2)
-rounds.  Every structural fact the surgery relies on is asserted at run time,
-and a failed assertion refutes the caller's promise about the input with a
-verified witness: the first induced P5 of the root's level (``_refute_p5``),
-or the K_{ell,ell} between the two sides a biclique claim compares
-(``_refute_biclique``).
+set of co-bagged neighbor pairs, which ``compress`` keeps, so the loop ends
+within (deg r choose 2) rounds.  Every structural fact the surgery relies on
+is asserted at run time, and a failed assertion refutes the caller's promise
+about the input with a verified witness: the first induced P5 of the root's
+level (``_refute_p5``), or the K_{ell,ell} between the two sides a biclique
+claim compares (``_refute_biclique``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .oracles import (
 )
 from .degeneracy import low_alpha_vertex
 from .treedecomp import (
-    TreeDecomposition, cobagged_pairs, compress, find_bag_containing_set,
+    TreeDecomposition, cobagged_pairs, compress, find_bag_containing_set, node_masks,
     single_bag_decomposition, subtree_distance, td_alpha, td_alpha_exceeds, validate,
 )
 
@@ -196,6 +196,7 @@ class PairContext:
     w_xy_bits: int = field(init=False)
     movable_bits: int = field(init=False)
     comp_bits: tuple[int, ...] = field(init=False)
+    rim_bits: tuple[int, ...] = field(init=False)
     t_x: int = field(init=False)
     t_y: int = field(init=False)
     path_xy: tuple[int, ...] = field(init=False)
@@ -247,7 +248,8 @@ def build_pair_context(
     ctx.ux_bits, ctx.uy_bits = u & bx & ~by, u & by & ~bx
     ctx.w_x_bits, ctx.w_y_bits, ctx.w_xy_bits = nrx & ~nry, nry & ~nrx, nrx & nry
     ctx.bad = alpha_exceeds(g, ctx.w_x_bits, ell - 1)
-    ctx.comp_bits = tuple(pieces(component, bits, level & ~m & ~(1 << r)))
+    ctx.comp_bits = comps = tuple(pieces(component, bits, level & ~m & ~(1 << r)))
+    ctx.rim_bits = tuple(neighborhood(bits, c) & level & ~c for c in comps)
     ctx.path_xy = path = td.path_between_subtrees(x, y)
     ctx.t_x, ctx.t_y = path[0], path[-1]
     ctx.movable_bits = sum(
@@ -266,8 +268,7 @@ def _assert_component_structure(ctx: PairContext) -> None:
     components complete to their one-sided attachments."""
     g, level, bits = ctx.g, ctx.level_bits, ctx.g.adjacency_bits()
     one_sided = ctx.u0_bits | ctx.ux_bits | ctx.uy_bits
-    for comp in ctx.comp_bits:
-        nc = neighborhood(bits, comp) & level & ~comp
+    for comp, nc in zip(ctx.comp_bits, ctx.rim_bits):
         if stray := nc & ~ctx.u_all_bits & ~ctx.w_xy_bits:
             # comp is a component of the level minus M and r, and M holds
             # N(r), so the rim lies in M.  A rim vertex in N(r) sees comp,
@@ -300,8 +301,8 @@ def _assert_bad_pair_structure(ctx: PairContext) -> None:
         _refute_p5(g, level, "outward neighbor of r misses a private neighbor of x")
     if not complete_between(bits, u0 | ux, w_y):
         _refute_p5(g, level, "outward neighbor of r misses a private neighbor of y")
-    for comp in ctx.comp_bits:
-        if not complete_between(bits, neighborhood(bits, comp) & w_xy, comp):
+    for comp, rim in zip(ctx.comp_bits, ctx.rim_bits):
+        if not complete_between(bits, rim & w_xy, comp):
             _refute_p5(
                 g, level, "component not complete to its common-side attachment"
             )
@@ -397,7 +398,7 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
     the tree carrying its local bags.  Apart from validity, the result keeps
     every co-bagged neighbor pair of r and adds (x, y).
     """
-    td, bits = ctx.td, ctx.g.adjacency_bits()
+    td = ctx.td
     if ctx.bad:
         raise ValueError("plain transform requires a non-bad pair")
     bags = [b & ctx.m_bits for b in td.bag_masks]
@@ -413,8 +414,7 @@ def transform_plain_pair(ctx: PairContext) -> TreeDecomposition:
 
     edges: list[tuple[int, int]] = list(td.edges)
     add_free = ctx.u_all_bits & ~ctx.uxy_bits
-    for comp in ctx.comp_bits:
-        rim = neighborhood(bits, comp) & ctx.level_bits & ~comp
+    for comp, rim in zip(ctx.comp_bits, ctx.rim_bits):
         _append_copy(td, bags, edges, rim | comp, rim & add_free, ctx.t_y, ctx.t_y)
     out = TreeDecomposition.from_masks(tuple(edges), bags)
     return _check_surgery_output(ctx, out, "plain-pair surgery")
@@ -443,13 +443,14 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
     for t in ctx.path_xy:
         bags[t] |= ride_along
 
-    # pull split outside vertices into the master
-    master = TreeDecomposition.from_masks(td.edges, bags)
+    # pull split outside vertices into the master.  Pulls add no vertex of M and
+    # every rim lies in M (the component assertion), so T(a), a in M, is folded once.
+    subtrees = node_masks(map(members, bags))
     parent, below = _rooted_masks(td)
     pulled = 0
     outside = ctx.level_bits & ~m & ~(1 << r)
     for c in members(outside):
-        marks = [master.node_mask(a) for a in members(bits[c] & m)]
+        marks = [subtrees.get(a, 0) for a in members(bits[c] & m)]
         if not marks or reduce(and_, marks):  # none, or one master bag holds all
             continue
         for t in _forced_nodes(td, parent, below, marks):
@@ -457,16 +458,14 @@ def transform_bad_pair(ctx: PairContext) -> TreeDecomposition:
         pulled |= 1 << c
 
     # anchor node per original outside component, by vertex
-    master = TreeDecomposition.from_masks(td.edges, bags)
     anchor_of: dict[int, int] = {}
-    for comp in ctx.comp_bits:
-        rim = neighborhood(bits, comp) & ctx.level_bits & ~comp
-        key = members(rim & ~ctx.uxy_bits)
-        fit = reduce(and_, map(master.node_mask, key), (1 << td.node_count) - 1)
+    for comp, rim in zip(ctx.comp_bits, ctx.rim_bits):
+        marks = [subtrees.get(a, 0) for a in members(rim & ~ctx.uxy_bits)]
+        fit = reduce(and_, marks, (1 << td.node_count) - 1)
         if fit:
             t_c = min(members(fit), key=lambda t: (len(td.tree_path(ctx.t_x, t)), t))
         else:
-            t_c = _split_anchor(master, key)
+            t_c = _split_anchor(td, marks)
         if missing := list(members(comp & pulled & ~bags[t_c])):
             _postcondition_failure(
                 g, ell, f"pulled vertices {missing} missed their anchor bag"
@@ -543,12 +542,13 @@ def _forced_nodes(
     return out
 
 
-def _split_anchor(master: TreeDecomposition, key: list[int]) -> int:
-    """Anchor for a component whose attachments fit no single master bag."""
-    for i, a in enumerate(key):
-        for b in key[i + 1 :]:
-            if not master.node_mask(a) & master.node_mask(b):
-                return min(master.path_between_subtrees(a, b))
+def _split_anchor(td: TreeDecomposition, marks: list[int]) -> int:
+    """Anchor for a component whose attachment subtrees ``marks``, node masks
+    of a master on ``td``'s tree, have no common node."""
+    for i, sa in enumerate(marks):
+        for sb in marks[i + 1 :]:
+            if not sa & sb:
+                return min(td.path_between(set(members(sa)), set(members(sb))))
     # Unreached for connected T(a): subtrees of a tree that pairwise meet
     # share a node (Helly), and the caller found no node common to all.
     raise DecompositionError("attachments pairwise meet yet fit no bag")
@@ -580,7 +580,7 @@ def saturate_root(
     ``td`` decomposes the level of r minus r.  Each round merges the
     selected pair (the surgery's check raises unless x and y then share a
     bag) and compresses; the round's co-bagged pairs, checked to grow
-    strictly in the surgery and to survive compression, are the next round's
+    strictly in the surgery and kept by compression, are the next round's
     start.  So they grow every round, and since they are drawn from the
     C(d, 2) pairs of N(r), d = deg r, the loop ends within C(d, 2) rounds;
     with d < 2 there is no pair, and no round.
@@ -599,10 +599,9 @@ def saturate_root(
             raise DecompositionError(
                 "surgery did not strictly grow the co-bagged pairs"
             )
-        td = compress(new_td)
-        before = cobagged_pairs(td, nr)
-        if before != after:
-            raise DecompositionError("compression changed the co-bagged pairs")
+        # compress contracts an edge only when one bag contains the other and edits
+        # no bag, so each dropped bag lies inside a kept one: the pairs stay ``after``
+        td, before = compress(new_td), after
         entry["iterations"] += 1
         entry["pairs"].append((x, y, bad, "bad" if bad else "plain"))
     if log is not None:

@@ -282,26 +282,23 @@ def parse_graph(text: str) -> Graph:
     line is one ``u v`` pair, 0-based.  DIMACS: ``p edge n m`` header, then
     ``e u v`` lines with 1-based ids (converted to 0-based).  Comment lines
     start with ``c`` or ``#``.  A payload has one header and one format: a
-    second header, or an edge line of the other format, is an error.
+    second header, or an edge line of the other format, is an error.  Each
+    edge is checked once; the n rows are built only after the payload parses.
     """
     n: int | None = None
     dimacs = False
-    declared_m: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    declared_m = 0
+    rows: dict[int, int] = {}
 
     def add_edge(u: int, v: int, line_no: int) -> None:
-        if n is None:
-            raise GraphParseError(line_no, "edge before header")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(line_no, f"endpoint out of range: {u} {v}")
         if u == v:
             raise GraphParseError(line_no, f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphParseError(line_no, f"duplicate edge {key[0]} {key[1]}")
-        seen.add(key)
-        edges.append(key)
+        if rows.get(u, 0) >> v & 1:
+            raise GraphParseError(line_no, f"duplicate edge {min(u, v)} {max(u, v)}")
+        rows[u] = rows.get(u, 0) | 1 << v
+        rows[v] = rows.get(v, 0) | 1 << u
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -352,9 +349,10 @@ def parse_graph(text: str) -> Graph:
 
     if n is None:
         raise GraphParseError(1, "missing header")
-    if dimacs and declared_m is not None and declared_m != len(edges):
-        raise GraphParseError(1, f"declared {declared_m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    found = sum(row.bit_count() for row in rows.values()) // 2
+    if dimacs and declared_m != found:
+        raise GraphParseError(1, f"declared {declared_m} edges, found {found}")
+    return Graph.from_rows(rows.get(v, 0) for v in range(n))
 
 
 def serialize_graph(g: Graph) -> str:
