@@ -339,12 +339,12 @@ def enumerate_uncobagged_pairs(
     # on any tree, valid or not, so the exit loses no error.
     if reduce(and_, (mv for _, mv in held), -1):
         return []
-    out: list[tuple[int, int]] = []
+    bits, out = g.adjacency_bits(), []  # x and y lie in neighbor_bits(r): vertices of g
     for x, mx in held:
         for y, my in held:
             if x == y or mx & my:
                 continue
-            if g.adjacent(x, y):
+            if bits[x] >> y & 1:
                 raise DecompositionError(
                     f"adjacent pair {x},{y} shares no bag; decomposition invalid"
                 )

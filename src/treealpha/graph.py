@@ -254,7 +254,7 @@ def complete_between(bits: Sequence[int], a: int, b: int) -> bool:
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     mask = mask_of(g, s)
-    return not any(g.neighbor_bits(v) & mask for v in members(mask))
+    return not neighborhood(g.adjacency_bits(), mask) & mask
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, VertexSet]:
@@ -302,7 +302,7 @@ def parse_graph(text: str) -> Graph:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith(("c", "#")) and not line[0].isdigit():
+        if not line or line.startswith(("c", "#")):
             continue
         parts = line.split()
         if parts[0] == "p":

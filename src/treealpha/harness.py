@@ -132,29 +132,21 @@ def _eliminates_within(bits: Sequence[int], memo: dict[int, int], full: int, k: 
 
 
 def is_chordal(g: Graph) -> bool:
-    """Maximum-cardinality search plus perfect-elimination verification."""
-    n = g.n
-    if n == 0:
-        return True
-    weight = [0] * n
-    order: list[int] = []
-    placed = [False] * n
-    for _ in range(n):
-        v = max((u for u in range(n) if not placed[u]), key=lambda u: (weight[u], -u))
-        placed[v] = True
-        order.append(v)
-        for u in g.neighbors(v):
-            if not placed[u]:
-                weight[u] += 1
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        earlier = [u for u in g.neighbors(v) if pos[u] < pos[v]]
-        if not earlier:
-            continue
-        last = max(earlier, key=lambda u: pos[u])
-        for u in earlier:
-            if u != last and not g.adjacent(u, last):
-                return False
+    """Whether removing simplicial vertices, one at a time, empties ``g``.
+
+    A vertex is simplicial when its remaining neighbors are pairwise adjacent.
+    Every chordal graph has one, and removing it leaves a chordal graph
+    (Dirac 1961); the removals, in order, are a perfect elimination order.
+    """
+    bits, left = g.adjacency_bits(), (1 << g.n) - 1
+    while left:
+        before = left
+        for v in members(left):
+            nb = bits[v] & left
+            if all(nb & ~bits[u] == 1 << u for u in members(nb)):
+                left ^= 1 << v
+        if left == before:
+            return False
     return True
 
 

@@ -85,9 +85,7 @@ class Witness:
         return {"kind": self.kind, "parts": [list(p) for p in self.parts]}
 
     def size(self) -> int:
-        if self.kind == PATH:
-            return len(self.parts[0])
-        if self.kind == BICLIQUE:
+        if self.kind in (PATH, BICLIQUE):
             return len(self.parts[0])
         if self.kind == SUBSTAR:
             return len(self.parts) - 1
@@ -192,9 +190,7 @@ def _split(bits: Sequence[int], m: int) -> tuple[int, list[int], bool]:
     parts = pieces(cocomponent, bits, m)
     if len(parts) > 1:  # a single vertex adds 1, the least the max can be
         return base, [c for c in parts if c & (c - 1)], True
-    vs = members(m)
-    degrees = [(bits[v] & m).bit_count() for v in vs]
-    p = vs[degrees.index(max(degrees))]
+    p = max(members(m), key=lambda v: (bits[v] & m).bit_count())  # lowest id on ties
     return base, [m & ~bits[p], m ^ 1 << p], True  # p stays, isolated, in M - N(p)
 
 
@@ -251,9 +247,7 @@ def _mis_mask(bits: Sequence[int], mask: int, floor: int = -1) -> int:
     while todo:
         m, a = todo.pop()
         if a > 1:
-            vs = members(m)
-            degrees = [(bits[v] & m).bit_count() for v in vs]
-            iso = sum(1 << v for v, d in zip(vs, degrees) if not d)
+            iso = m & ~neighborhood(bits, m)
             out |= iso
             m ^= iso
             a -= iso.bit_count()
@@ -271,7 +265,7 @@ def _mis_mask(bits: Sequence[int], mask: int, floor: int = -1) -> int:
         if keep != m:
             todo.append((keep, a))
             continue
-        p = vs[degrees.index(max(degrees))]  # stripping changed no degree
+        p = max(members(m), key=lambda v: (bits[v] & m).bit_count())  # lowest id on ties
         include = m & ~bits[p]  # p is isolated there, so the next round takes it
         todo.append((include, a) if _alpha(bits, include, memo) == a else (m ^ 1 << p, a))
     return out
