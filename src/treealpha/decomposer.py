@@ -22,8 +22,9 @@ every read of the graph in the restructuring stays inside it.
 
 Each restructuring step, a plain-pair or a bad-pair surgery, builds its
 master bags, hangs one copy of the tree per outside component off them
-(``_append_copy``) and checks the result in one place.  It strictly grows the
-set of co-bagged neighbor pairs, which ``compress`` keeps, so the loop ends
+(``_append_copy``) and checks the result in one place.  Its node t keeps bag
+t's neighbors of r and a new pair shares a bag, so it strictly grows the set
+of co-bagged neighbor pairs, which ``compress`` keeps, and the loop ends
 within (deg r choose 2) rounds.  Every structural fact the surgery relies on
 is asserted at run time, and a failed assertion refutes the caller's promise
 about the input with a verified witness: the first induced P5 of the root's
@@ -51,7 +52,7 @@ from .oracles import (
 )
 from .degeneracy import low_alpha_vertex
 from .treedecomp import (
-    TreeDecomposition, cobagged_pairs, compress, find_bag_containing_set, node_masks,
+    TreeDecomposition, compress, find_bag_containing_set, node_masks,
     single_bag_decomposition, subtree_distance, td_alpha, td_alpha_exceeds, validate,
 )
 
@@ -578,30 +579,28 @@ def saturate_root(
     """Restructure until every pair of neighbors of r in its level shares a bag.
 
     ``td`` decomposes the level of r minus r.  Each round merges the
-    selected pair (the surgery's check raises unless x and y then share a
-    bag) and compresses; the round's co-bagged pairs, checked to grow
-    strictly in the surgery and kept by compression, are the next round's
-    start.  So they grow every round, and since they are drawn from the
-    C(d, 2) pairs of N(r), d = deg r, the loop ends within C(d, 2) rounds;
-    with d < 2 there is no pair, and no round.
+    selected pair and compresses.  The co-bagged pairs of N(r) grow strictly:
+    node t of the surgery's output keeps bag t's part in N(r) (checked
+    below), x and y share a bag after the surgery's check and not before
+    (``build_pair_context`` checks), and compression keeps the pairs.  They
+    are drawn from the C(d, 2) pairs of N(r), d = deg r, so the loop ends
+    within C(d, 2) rounds; with d < 2 there is no pair, and no round.
     """
-    nr = _root_neighbors(g, r, td)
-    entry = {"root": r, "degree": len(nr), "iterations": 0, "pairs": []}
-    before = None
-    while len(nr) > 1 and (sel := select_pair(g, r, td, ell)) is not None:
+    nr = g.neighbor_bits(r) & td.vertex_mask
+    entry = {"root": r, "degree": nr.bit_count(), "iterations": 0, "pairs": []}
+    while nr & (nr - 1) and (sel := select_pair(g, r, td, ell)) is not None:
         x, y, bad = sel
-        if before is None:
-            before = cobagged_pairs(td, nr)
         ctx = build_pair_context(g, r, td, x, y, ell)
         new_td = transform_bad_pair(ctx) if bad else transform_plain_pair(ctx)
-        after = cobagged_pairs(new_td, nr)
-        if not before < after:
+        # The master keeps every pair: each surgery cuts node t's bag to a superset
+        # of N(r), then only adds.  x and y now share a bag (the surgery check) and
+        # did not before (the context check): the pairs grow strictly.
+        if any(a & nr & ~b for a, b in zip(td.bag_masks, new_td.bag_masks)):
             raise DecompositionError(
                 "surgery did not strictly grow the co-bagged pairs"
             )
-        # compress contracts an edge only when one bag contains the other and edits
-        # no bag, so each dropped bag lies inside a kept one: the pairs stay ``after``
-        td, before = compress(new_td), after
+        # compress edits no bag and drops only bags inside a kept one: pairs stay
+        td = compress(new_td)
         entry["iterations"] += 1
         entry["pairs"].append((x, y, bad, "bad" if bad else "plain"))
     if log is not None:

@@ -215,7 +215,6 @@ def _break(td: TreeDecomposition, n: int, rng: random.Random) -> TreeDecompositi
 
 
 NAMES = (
-    "cobagged_pairs",
     "enumerate_uncobagged_pairs",
     "find_bag_containing_set",
     "validate",
@@ -248,8 +247,6 @@ def engine_calls(p5_kll_corpus):
 
 def test_engine_calls_match_the_set_based_code(engine_calls):
     assert min(len(args) for args in engine_calls.values()) > 200
-    for td, s in engine_calls["cobagged_pairs"]:
-        assert cobagged_pairs(td, s) == ref_cobagged_pairs(td, s)
     for td, s in engine_calls["find_bag_containing_set"]:
         assert find_bag_containing_set(td, s) == ref_find_bag_containing_set(td, s)
     for args in engine_calls["enumerate_uncobagged_pairs"]:

@@ -488,10 +488,10 @@ def test_helly_exit_matches_the_scan_on_random_trees():
 def test_the_exit_keeps_every_engine_call(p5_kll_corpus, monkeypatch):
     # the exit returns early but drops no call: the more-than-200 pin in
     # test_node_masks.py still sees every scan, and with the old scan in its
-    # place the engine makes the same co-bag calls (422 on this corpus)
+    # place the engine makes the same number of scans
     def counts(scan) -> dict[str, int]:
-        seen = {"enumerate_uncobagged_pairs": 0, "cobagged_pairs": 0}
-        real = {"enumerate_uncobagged_pairs": scan, "cobagged_pairs": dec.cobagged_pairs}
+        seen = {"enumerate_uncobagged_pairs": 0}
+        real = {"enumerate_uncobagged_pairs": scan}
         for name in seen:
 
             def counted(*args, _name=name):

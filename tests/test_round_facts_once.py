@@ -1,9 +1,9 @@
 """The saturation round builds each fact once.
 
-``saturate_root`` counts the co-bagged pairs of N(r) once per round, on the
-surgery's output, and carries them past ``compress`` uncounted: compress
-contracts an edge only when one bag contains the other and edits no bag, so
-every dropped bag lies inside a kept one.  The first test checks that
+``saturate_root`` checks the growth of the co-bagged pairs of N(r) bag by
+bag, on the surgery's output, and carries them past ``compress`` unchecked:
+compress contracts an edge only when one bag contains the other and edits no
+bag, so every dropped bag lies inside a kept one.  The first test checks that
 argument on every tree the engine compresses.  The bad-pair surgery reads
 T(a), a in M, from one fold of its master bags instead of two throwaway
 decompositions, and the pair context computes each outside component's rim
@@ -11,6 +11,7 @@ once.  The counts below pin those savings.
 """
 
 import treealpha.decomposer as dec
+import treealpha.treedecomp as tdm
 from treealpha.graph import members
 from treealpha.harness import gen_p5_free
 from treealpha.treedecomp import TreeDecomposition, cobagged_pairs, compress
@@ -43,21 +44,21 @@ def test_compress_keeps_the_cobagged_pairs_of_every_surgery_output(
 
 def test_one_cobag_count_per_round_and_one_per_root(p5_kll_corpus, monkeypatch):
     calls = {"cobagged_pairs": 0, "compress": 0}
-    for name in calls:
+    for module, name in ((tdm, "cobagged_pairs"), (dec, "compress")):
 
-        def counted(*args, _name=name, _real=getattr(dec, name)):
+        def counted(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(dec, name, counted)
+        monkeypatch.setattr(module, name, counted)
     log: list = []
     for g, ell, _ in p5_kll_corpus:
         dec.decompose(g, ell, check_p5=False, log=log)
     roots = sum(entry["iterations"] > 0 for entry in log)
     assert calls["compress"] == sum(entry["iterations"] for entry in log) == 155
     assert roots == 112
-    # the recount after compress made 422 calls on this corpus
-    assert calls["cobagged_pairs"] == calls["compress"] + roots == 267
+    # the growth check reads bag masks: the engine makes no cobagged_pairs call
+    assert not hasattr(dec, "cobagged_pairs") and calls["cobagged_pairs"] == 0
 
 
 def test_one_decomposition_per_bad_pair_surgery(monkeypatch):
